@@ -1,13 +1,14 @@
 """Streaming vs. batch audit: time-to-first-verdict and throughput.
 
-Fits one BPROM detector, builds a fleet of suspicious models, then screens the
-same catalogue twice: through the synchronous ``AuditService.audit`` batch
-path (no verdict until the whole batch finishes) and through
-``AsyncAuditService.stream`` (verdicts yielded as models finish, bounded
-in-flight backpressure).  Correctness is asserted on every run — streaming
-verdicts must be bit-identical to the batch report — so the benchmark doubles
-as an equivalence check.  Results are written as machine-readable JSON so the
-perf trajectory can be tracked across commits.
+Fits one BPROM detector through the detector registry, builds a fleet of
+suspicious models, then screens the same catalogue twice: through the batch
+``BpromDetector.inspect_many(models, keys=...)`` fan-out (no verdict until the
+whole batch finishes) and through a one-tenant ``AuditGateway.stream``
+(verdicts yielded as models finish, bounded in-flight backpressure).
+Correctness is asserted on every run — streaming verdicts must be
+bit-identical to the batch report — so the benchmark doubles as an
+equivalence check.  Results are written as machine-readable JSON so the perf
+trajectory can be tracked across commits.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_audit_streaming.py \
                [--profile tiny|fast|bench] [--arch mlp] [--workers 4] \
@@ -19,13 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import tempfile
 import time
 
 from repro.config import RuntimeConfig, get_profile
-from repro.core.detector import BpromDetector
 from repro.datasets.registry import load_dataset
 from repro.models.registry import build_classifier
-from repro.runtime import AsyncAuditService, AuditService
+from repro.runtime import AuditGateway, DetectorRegistry, DetectorSpec
 
 
 def main() -> None:
@@ -45,8 +46,13 @@ def main() -> None:
     args = parser.parse_args()
 
     profile = get_profile(args.profile)
+    # the gateway's process workers hydrate the detector from a store
+    scratch = tempfile.TemporaryDirectory(prefix="bench-streaming-")
     runtime = RuntimeConfig(
-        workers=args.workers, backend=args.backend, max_in_flight=args.max_in_flight
+        workers=args.workers,
+        backend=args.backend,
+        max_in_flight=args.max_in_flight,
+        cache_dir=scratch.name,
     )
     train, test = load_dataset("cifar10", profile, seed=args.seed)
     target_train, target_test = load_dataset("stl10", profile, seed=args.seed)
@@ -57,10 +63,9 @@ def main() -> None:
     )
 
     print("fitting the detector once ...")
-    detector = BpromDetector(
-        profile=profile, architecture=args.arch, seed=args.seed, runtime=runtime
-    )
-    detector.fit(test, target_train, target_test)
+    registry = DetectorRegistry(runtime=runtime)
+    spec = DetectorSpec(profile=profile, architecture=args.arch, seed=args.seed)
+    detector = registry.get_or_fit(spec, test, target_train, target_test).detector
 
     print(f"building a catalogue of {args.models} vendor models ...")
     catalogue = {}
@@ -75,27 +80,29 @@ def main() -> None:
         model.fit(train, profile.classifier, rng=2000 + index)
         catalogue[model.name] = model
 
-    print("batch path (AuditService.audit):")
-    batch_service = AuditService(detector, runtime=runtime)
+    print("batch path (BpromDetector.inspect_many):")
     start = time.perf_counter()
-    batch_report = batch_service.audit(catalogue)
+    batch_report = detector.inspect_many(list(catalogue.values()), keys=list(catalogue))
     batch_total_s = time.perf_counter() - start
     # the batch path yields nothing until the whole report is assembled
     print(f"  total {batch_total_s:8.2f}s   first verdict {batch_total_s:8.2f}s")
 
-    print("streaming path (AsyncAuditService.stream):")
-    stream_service = AsyncAuditService(detector, runtime=runtime)
+    print("streaming path (one-tenant AuditGateway.stream):")
     streamed = []
     first_verdict_s = None
-    start = time.perf_counter()
-    for verdict in stream_service.stream(catalogue):
-        if first_verdict_s is None:
-            first_verdict_s = time.perf_counter() - start
-        streamed.append(verdict)
-    stream_total_s = time.perf_counter() - start
+    with AuditGateway(registry=registry) as gateway:
+        gateway.register_tenant("vendor", spec, test, target_train, target_test)
+        start = time.perf_counter()
+        for verdict in gateway.stream(catalogue.items()):
+            if first_verdict_s is None:
+                first_verdict_s = time.perf_counter() - start
+            streamed.append(verdict)
+        stream_total_s = time.perf_counter() - start
+        max_in_flight = gateway.max_in_flight
+    scratch.cleanup()
     print(f"  total {stream_total_s:8.2f}s   first verdict {first_verdict_s:8.2f}s")
 
-    expected = {v.name: v for v in batch_report}
+    expected = dict(zip(catalogue, batch_report))
     assert len(streamed) == len(batch_report)
     for verdict in streamed:
         reference = expected[verdict.name]
@@ -111,7 +118,7 @@ def main() -> None:
         "workers": args.workers,
         "backend": args.backend,
         "models": args.models,
-        "max_in_flight": stream_service.max_in_flight,
+        "max_in_flight": max_in_flight,
         "batch_total_seconds": batch_total_s,
         "batch_first_verdict_seconds": batch_total_s,
         "stream_total_seconds": stream_total_s,

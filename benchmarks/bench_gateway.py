@@ -4,9 +4,10 @@ Stands two tenants up through the :class:`~repro.runtime.registry.
 DetectorRegistry` (two architecture families on two suspicious tasks), builds
 a mixed vendor catalogue, then screens it twice:
 
-* **baseline** — one synchronous ``AuditService.audit`` per tenant, run back
-  to back: no verdict until the first tenant's whole batch finishes, and the
-  second tenant waits for the first;
+* **baseline** — one batch ``BpromDetector.inspect_many(keys=...)`` fan-out
+  per tenant on the runtime's ``ParallelExecutor``, run back to back: no
+  verdict until the first tenant's whole batch finishes, and the second
+  tenant waits for the first;
 * **gateway** — one ``AuditGateway.stream`` over the interleaved submissions:
   routing by architecture family, shared in-flight budget, merged
   completion-ordered verdicts;
@@ -18,12 +19,16 @@ a mixed vendor catalogue, then screens it twice:
   cache hit-rate, the amortised queries-per-verdict and the warm-vs-cold
   verdicts/s speedup.
 * **worker-pool backends** — the same interleaved workload screened through a
-  ``gateway_backend="thread"`` and a ``gateway_backend="process"`` gateway
-  over one warm store (process workers hydrate the fitted detectors by
-  registry key — zero refits).  Verdicts must be **bit-identical** across
-  backends (exact float equality, not a tolerance), and the report carries
-  ``process_speedup`` plus ``cpu_count`` so the versioned baseline can gate
-  the multi-core win on runners that actually have the cores.
+  ``backend="thread"`` and a ``backend="process"`` gateway over one warm
+  store (process workers hydrate the fitted detectors by registry key — zero
+  refits), both with telemetry off so ``process_speedup`` compares backends
+  only.  Verdicts must be **bit-identical** across backends (exact float
+  equality, not a tolerance), and the report carries ``process_speedup``
+  plus ``cpu_count`` so the versioned baseline can gate the multi-core win
+  on runners that actually have the cores;
+* **telemetry** — the process leg again with telemetry on: verdicts must be
+  bit-identical to the telemetry-off process leg, and its trace and metrics
+  are exported and rendered by the flight recorder.
 
 Correctness is asserted on every run — gateway verdicts must match the
 per-tenant baseline to <= 1e-9 with identical labels, and cached verdicts
@@ -57,7 +62,7 @@ from repro.models.registry import build_classifier
 from repro.obs import get_tracer
 from repro.obs.export import export_jsonl, export_metrics
 from repro.obs.report import queries_per_verdict, render_report, stage_summary
-from repro.runtime import AuditGateway, AuditService, DetectorRegistry, VerdictCache
+from repro.runtime import AuditGateway, DetectorRegistry, ParallelExecutor
 from repro.runtime.registry import DetectorSpec
 
 
@@ -142,11 +147,16 @@ def main() -> None:
     catalogue_a = build_catalogue(profile, args.arch_a, train_a, args.models, seed=1000)
     catalogue_b = build_catalogue(profile, args.arch_b, train_b, args.models, seed=2000)
 
-    print("baseline (two sequential AuditService.audit runs):")
+    print("baseline (two sequential inspect_many runs):")
+    executor = ParallelExecutor.from_config(runtime)
     start = time.perf_counter()
-    report_a = AuditService(entry_a.detector, runtime=runtime).audit(catalogue_a)
+    report_a = entry_a.detector.inspect_many(
+        list(catalogue_a.values()), executor=executor, keys=list(catalogue_a)
+    )
     baseline_first_s = time.perf_counter() - start  # nothing lands before batch A ends
-    report_b = AuditService(entry_b.detector, runtime=runtime).audit(catalogue_b)
+    report_b = entry_b.detector.inspect_many(
+        list(catalogue_b.values()), executor=executor, keys=list(catalogue_b)
+    )
     baseline_total_s = time.perf_counter() - start
     print(f"  total {baseline_total_s:8.2f}s   first verdict {baseline_first_s:8.2f}s")
 
@@ -171,7 +181,10 @@ def main() -> None:
         stats = gateway.stats()
     print(f"  total {gateway_total_s:8.2f}s   first verdict {first_verdict_s:8.2f}s")
 
-    expected = {v.name: v for v in report_a + report_b}
+    expected = {
+        **dict(zip(catalogue_a, report_a)),
+        **dict(zip(catalogue_b, report_b)),
+    }
     by_tenant = {"tenant-a": set(catalogue_a), "tenant-b": set(catalogue_b)}
     assert len(streamed) == len(expected)
     max_deviation = 0.0
@@ -185,17 +198,10 @@ def main() -> None:
     print(f"  gateway verdicts match per-tenant audits (max deviation {max_deviation:.2e})")
 
     total_models = 2 * args.models
-    print("worker-pool backends (thread vs process, one warm store):")
-    backend_runs = {}
-    for backend_name in ("thread", "process"):
-        # telemetry ON only for the process leg: the bit-identity assert below
-        # then doubles as the telemetry ON == OFF acceptance check, and the
-        # trace exercises the cross-process span shipping path
-        backend_runtime = runtime.with_overrides(
-            gateway_backend=backend_name,
-            gateway_workers=args.workers,
-            telemetry=(backend_name == "process"),
-        )
+
+    def backend_leg(backend_runtime):
+        """Screen the interleaved workload through a fresh gateway; returns
+        (verdicts by key, wall seconds, gateway stats)."""
         # a fresh registry over the same store: detectors warm-load, and the
         # process pool's workers hydrate from the same artifacts by key
         backend_registry = DetectorRegistry(runtime=backend_runtime)
@@ -210,43 +216,64 @@ def main() -> None:
             start = time.perf_counter()
             verdicts = {v.name: v for v in backend_gateway.stream(workload)}
             elapsed = time.perf_counter() - start
-            backend_stats = backend_gateway.stats()
-            pool_stats = backend_stats["worker_pool"]
-        backend_runs[backend_name] = (verdicts, elapsed)
-        if backend_name == "process":
-            process_metrics = backend_stats["telemetry"]["metrics"]
+            leg_stats = backend_gateway.stats()
+        pool_stats = leg_stats["worker_pool"]
         print(
-            f"  {backend_name:7s} total {elapsed:8.2f}s "
+            f"  total {elapsed:8.2f}s "
             f"({total_models / max(elapsed, 1e-9):.2f} verdicts/s, "
             f"pool {pool_stats['workers']}x{pool_stats['backend']}, "
             f"{pool_stats['tasks']} tasks)"
         )
-    # harvest the process leg's trace before the zipf sections start (the
-    # tracer is process-global and stays enabled once a gateway turned it on)
-    tracer = get_tracer()
-    trace_spans = tracer.drain()
-    tracer.disable()
-    thread_verdicts, thread_s = backend_runs["thread"]
-    process_verdicts, process_s = backend_runs["process"]
-    assert set(thread_verdicts) == set(process_verdicts)
-    for name, thread_verdict in thread_verdicts.items():
-        process_verdict = process_verdicts[name]
-        # bit-identity, not a tolerance: hydration round-trips exactly and the
-        # per-key seed derivation is shared, so any drift is a real bug
-        assert process_verdict.backdoor_score == thread_verdict.backdoor_score, name
-        assert process_verdict.is_backdoored == thread_verdict.is_backdoored, name
-        assert process_verdict.query_count == thread_verdict.query_count, name
+        return verdicts, elapsed, leg_stats
+
+    def assert_bit_identical(verdicts, reference):
+        # bit-identity, not a tolerance: hydration round-trips exactly, the
+        # per-key seed derivation is shared and telemetry only observes, so
+        # any drift is a real bug
+        assert set(verdicts) == set(reference)
+        for name, expected_verdict in reference.items():
+            verdict = verdicts[name]
+            assert verdict.backdoor_score == expected_verdict.backdoor_score, name
+            assert verdict.is_backdoored == expected_verdict.is_backdoored, name
+            assert verdict.query_count == expected_verdict.query_count, name
+
+    print("worker-pool backends (thread vs process, one warm store, telemetry off):")
+    backend_runs = {}
+    for backend_name in ("thread", "process"):
+        print(f"  {backend_name}:")
+        backend_runs[backend_name] = backend_leg(
+            runtime.with_overrides(backend=backend_name, telemetry=False)
+        )
+    thread_verdicts, thread_s, _ = backend_runs["thread"]
+    process_verdicts, process_s, _ = backend_runs["process"]
+    assert_bit_identical(process_verdicts, thread_verdicts)
     process_speedup = thread_s / max(process_s, 1e-9)
     cpu_count = os.cpu_count() or 1
     print(
-        f"  process verdicts bit-identical to thread (telemetry ON == OFF); "
+        f"  process verdicts bit-identical to thread; "
         f"process speedup {process_speedup:.2f}x on {cpu_count} core(s)"
+    )
+
+    print("telemetry (process backend, telemetry on):")
+    telemetry_verdicts, telemetry_s, telemetry_stats = backend_leg(
+        runtime.with_overrides(backend="process", telemetry=True)
+    )
+    # harvest the trace before the zipf sections start (the tracer is
+    # process-global and stays enabled once a gateway turned it on)
+    tracer = get_tracer()
+    trace_spans = tracer.drain()
+    tracer.disable()
+    assert_bit_identical(telemetry_verdicts, process_verdicts)
+    telemetry_slowdown = telemetry_s / max(process_s, 1e-9)
+    print(
+        f"  verdicts bit-identical with telemetry on and off; "
+        f"telemetry slowdown {telemetry_slowdown:.2f}x"
     )
 
     trace_path = Path(args.json).with_name("TRACE_gateway.jsonl")
     metrics_path = Path(args.json).with_name("METRICS_gateway.json")
     export_jsonl(trace_spans, str(trace_path))
-    export_metrics(process_metrics, str(metrics_path))
+    export_metrics(telemetry_stats["telemetry"]["metrics"], str(metrics_path))
     stage_stats = stage_summary(trace_spans)
     economy = queries_per_verdict(trace_spans)
     print(render_report(trace_spans, top=2, title="process-backend flight recorder"))
@@ -294,9 +321,10 @@ def main() -> None:
     )
 
     print("  cached gateway (fingerprint-keyed verdict memoisation):")
-    cache = VerdictCache(store=registry.store, runtime=runtime)
     with AuditGateway(
-        registry=registry, max_in_flight=args.max_in_flight, verdict_cache=cache
+        registry=registry,
+        runtime=runtime.with_overrides(verdict_cache=True),
+        max_in_flight=args.max_in_flight,
     ) as cached:
         cached.register_tenant("tenant-a", spec_a, test_a, target_train, target_test)
         cached.register_tenant("tenant-b", spec_b, test_b, target_train, target_test)
@@ -357,6 +385,8 @@ def main() -> None:
         "process_verdicts_per_second": total_models / max(process_s, 1e-9),
         "process_speedup": process_speedup,
         "process_verdicts_bit_identical": True,
+        "telemetry_total_seconds": telemetry_s,
+        "telemetry_slowdown": telemetry_slowdown,
         "zipf_submissions": submission_count,
         "zipf_exponent": args.zipf_exponent,
         "zipf_distinct_models": distinct,

@@ -25,7 +25,7 @@ for the whole fleet:
   model — the common case in redundant production traffic — is served from
   the cache with *zero* additional black-box queries;
 * inspections run on a shared **process-backed worker pool**
-  (``gateway_backend="process"``): pool workers hydrate each tenant's
+  (``backend="process"``): pool workers hydrate each tenant's
   detector from the artifact store by registry key — never refitting — so
   the fleet uses every core while verdicts stay bit-identical to the
   thread and serial paths;
@@ -118,11 +118,10 @@ def main() -> None:
         # from route through pool execution to verdict, and the worker-side
         # inspection spans ship back across the process boundary
         runtime = RuntimeConfig(
-            workers=4,
+            workers=2,
+            backend="process",
             cache_dir=str(Path(scratch) / "store"),
             verdict_cache=True,
-            gateway_backend="process",
-            gateway_workers=2,
             telemetry=True,
         )
         registry = DetectorRegistry(runtime=runtime)

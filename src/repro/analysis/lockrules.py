@@ -11,7 +11,7 @@ propagate — re-raise, stash for a deferred raise, or surface via a future.
 The pool-dispatch layer (PR 9) adds a picklability invariant: process
 backends serialise submitted tasks by qualified name, so a closure, lambda
 or bound method handed to ``submit()``/``map()`` works on the thread backend
-and explodes the moment ``REPRO_GATEWAY_BACKEND=process`` is set.  L201
+and explodes the moment ``REPRO_BACKEND=process`` is set.  L201
 keeps every ``runtime/`` task module-level so the backends stay
 interchangeable.
 """

@@ -277,11 +277,14 @@ class RuntimeConfig:
     are persisted to disk so they survive a process restart.
     """
 
-    #: number of concurrent workers for the embarrassingly-parallel stages;
-    #: 1 means fully sequential execution
+    #: number of concurrent workers for the embarrassingly-parallel stages
+    #: and for an :class:`~repro.runtime.gateway.AuditGateway`'s shared
+    #: worker pool; 1 means fully sequential execution
     workers: int = 1
     #: "thread" (shares memory, relies on numpy releasing the GIL),
-    #: "process" (true parallelism, pays pickling overhead) or "serial"
+    #: "process" (true parallelism, pays pickling overhead; a gateway's
+    #: process workers hydrate detectors from the shared store, so its pool
+    #: requires a persistent store) or "serial"
     backend: str = "thread"
     #: root directory of the persistent artifact store; ``None`` disables
     #: disk caching entirely
@@ -293,9 +296,9 @@ class RuntimeConfig:
     #: supersedes ``cache_dir`` when non-empty (writes go to each key's home
     #: shard, reads fall through across every shard)
     shard_dirs: Optional[Tuple[str, ...]] = None
-    #: cap on concurrently in-flight jobs in
-    #: :class:`~repro.runtime.service_async.AsyncAuditService`; ``None``
-    #: derives 2x ``workers`` at service construction
+    #: cap on concurrently in-flight cold audits across *all* tenants of an
+    #: :class:`~repro.runtime.gateway.AuditGateway`; ``None`` derives
+    #: 2x ``workers`` at gateway construction
     max_in_flight: Optional[int] = None
     #: how shadow pools are trained: "stacked" runs K same-architecture
     #: shadows as one model-axis computation (:mod:`repro.nn.stacked`),
@@ -315,19 +318,6 @@ class RuntimeConfig:
     #: age after which a registry fit lock is presumed abandoned (crashed
     #: fitter) and taken over; keep well above the longest expected fit
     registry_lock_stale: float = 3600.0
-    #: cap on concurrently in-flight submissions across *all* tenants of an
-    #: :class:`~repro.runtime.gateway.AuditGateway`; ``None`` derives
-    #: 2x ``workers`` at gateway construction
-    gateway_max_in_flight: Optional[int] = None
-    #: executor backend of the gateway's shared tenant
-    #: :class:`~repro.runtime.workers.WorkerPool`: "thread" (default; shares
-    #: memory, relies on numpy releasing the GIL), "process" (true multi-core
-    #: parallelism; workers hydrate detectors from the shared store, so it
-    #: requires a persistent store) or "serial" (inline, for debugging)
-    gateway_backend: str = "thread"
-    #: worker count of the gateway's shared tenant pool; ``None`` falls back
-    #: to ``workers``
-    gateway_workers: Optional[int] = None
     #: disk byte budget for ``fitted-detector`` artifacts in the store; when
     #: set, a registry that just fitted a detector opportunistically evicts
     #: the least-recently-used detectors down to this budget (under the
@@ -397,19 +387,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"registry_lock_stale must be positive, got {self.registry_lock_stale}"
             )
-        if self.gateway_max_in_flight is not None and self.gateway_max_in_flight < 1:
-            raise ValueError(
-                f"gateway_max_in_flight must be >= 1, got {self.gateway_max_in_flight}"
-            )
-        if self.gateway_backend not in _RUNTIME_BACKENDS:
-            raise ValueError(
-                f"unknown gateway_backend {self.gateway_backend!r}; "
-                f"available: {_RUNTIME_BACKENDS}"
-            )
-        if self.gateway_workers is not None and self.gateway_workers < 1:
-            raise ValueError(
-                f"gateway_workers must be >= 1, got {self.gateway_workers}"
-            )
         if self.detector_gc_bytes is not None and self.detector_gc_bytes < 0:
             raise ValueError(
                 f"detector_gc_bytes must be >= 0, got {self.detector_gc_bytes}"
@@ -446,9 +423,8 @@ class RuntimeConfig:
         ``REPRO_CACHE_DIR``, ``REPRO_CACHE``, ``REPRO_SHARD_DIRS``,
         ``REPRO_MAX_IN_FLIGHT``, ``REPRO_SHADOW_TRAINING``,
         ``REPRO_REGISTRY_LRU_BYTES``, ``REPRO_REGISTRY_LOCK_WAIT``,
-        ``REPRO_REGISTRY_LOCK_STALE``, ``REPRO_GATEWAY_MAX_IN_FLIGHT``,
-        ``REPRO_GATEWAY_BACKEND``, ``REPRO_GATEWAY_WORKERS``,
-        ``REPRO_DETECTOR_GC_BYTES``, ``REPRO_PRECISION``,
+        ``REPRO_REGISTRY_LOCK_STALE``, ``REPRO_DETECTOR_GC_BYTES``,
+        ``REPRO_PRECISION``,
         ``REPRO_VERDICT_CACHE``, ``REPRO_VERDICT_CACHE_BYTES``,
         ``REPRO_VERDICT_CACHE_TTL``, ``REPRO_TELEMETRY`` and
         ``REPRO_TELEMETRY_DIR``.
@@ -473,9 +449,6 @@ class RuntimeConfig:
             registry_lru_bytes=_env_int("REPRO_REGISTRY_LRU_BYTES", None),
             registry_lock_wait=_env_float("REPRO_REGISTRY_LOCK_WAIT", 600.0),
             registry_lock_stale=_env_float("REPRO_REGISTRY_LOCK_STALE", 3600.0),
-            gateway_max_in_flight=_env_int("REPRO_GATEWAY_MAX_IN_FLIGHT", None),
-            gateway_backend=os.environ.get("REPRO_GATEWAY_BACKEND", "thread"),
-            gateway_workers=_env_int("REPRO_GATEWAY_WORKERS", None),
             detector_gc_bytes=_env_int("REPRO_DETECTOR_GC_BYTES", None),
             precision=os.environ.get("REPRO_PRECISION") or "float64",
             verdict_cache=os.environ.get("REPRO_VERDICT_CACHE", "0") == "1",

@@ -8,7 +8,7 @@ are individually cached in a persistent
 :class:`~repro.config.RuntimeConfig` with a cache directory is supplied.  A
 fitted detector round-trips through :meth:`save`/:meth:`load` with
 bit-identical scores, which is what allows one training run to serve many
-audit requests across processes (see :class:`repro.runtime.service.AuditService`).
+audit requests across processes (see :class:`repro.runtime.gateway.AuditGateway`).
 """
 
 from __future__ import annotations
@@ -151,11 +151,6 @@ class BpromDetector:
         self._fitted = False
         self._store = ArtifactStore.from_config(self.runtime)
         self._executor = ParallelExecutor.from_config(self.runtime)
-
-    @property
-    def executor(self) -> ParallelExecutor:
-        """The detector's parallel executor (shared by the audit services)."""
-        return self._executor
 
     # -- training -----------------------------------------------------------------
     def _base_key(self, reserved_clean: Optional[ImageDataset]) -> dict:

@@ -1,4 +1,4 @@
-"""Staged pipeline runtime: persistence, parallelism and batch serving.
+"""Staged pipeline runtime: persistence, parallelism and audit serving.
 
 The runtime layer turns the BPROM pipeline into a production-shaped system:
 
@@ -13,19 +13,16 @@ The runtime layer turns the BPROM pipeline into a production-shaped system:
 * :class:`~repro.runtime.sharding.ShardedArtifactStore` — one cache federated
   across several store roots: deterministic home-shard placement, read-through
   lookups across every shard, ``rebalance()``/``gc()`` maintenance.
-* :class:`~repro.runtime.service.AuditService` — the serve-many API: load a
-  saved detector once, screen whole model catalogues concurrently.
-* :class:`~repro.runtime.service_async.AsyncAuditService` — the streaming
-  front-end: ``submit``/``as_completed``/``stream`` with bounded in-flight
-  backpressure; verdicts are bit-identical to the batch path.
 * :class:`~repro.runtime.registry.DetectorRegistry` — a store-backed
   catalogue of fitted detectors (BPROM and MNTD) with cross-process
   single-flight fitting (advisory lock files, stale takeover) and a
   byte-budgeted in-memory LRU.
-* :class:`~repro.runtime.gateway.AuditGateway` — the multi-tenant front
-  door: routes a mixed model stream to per-tenant detectors, fans out under
-  one shared in-flight budget, merges the verdict streams and reports the
-  whole serving picture in one ``stats()`` snapshot.
+* :class:`~repro.runtime.gateway.AuditGateway` — the one serving path:
+  routes a mixed model stream to per-tenant detectors, serves warm verdicts
+  from the cache, runs each cold audit as one task on the shared worker pool
+  under one in-flight budget, merges the verdicts into one stream with
+  ``submit``/``as_completed``/``stream`` and reports the whole serving
+  picture in one ``stats()`` snapshot.
 * :class:`~repro.runtime.verdict_cache.VerdictCache` — fingerprint-keyed
   memoisation of audit verdicts: a weighted-LRU memory tier over store
   persistence, TTL/refit invalidation and in-flight dedup (futures
@@ -40,7 +37,7 @@ The runtime layer turns the BPROM pipeline into a production-shaped system:
 See ARCHITECTURE.md at the repository root for the full design.
 """
 
-from repro.runtime.executor import ExecutorSession, ParallelExecutor
+from repro.runtime.executor import ParallelExecutor
 from repro.runtime.locks import AdvisoryLock, LockTimeout
 from repro.runtime.pipeline import Stage, StagedPipeline, StageReport
 from repro.runtime.sharding import ShardedArtifactStore
@@ -56,15 +53,12 @@ __all__ = [
     "AdvisoryLock",
     "Artifact",
     "ArtifactStore",
-    "AsyncAuditService",
     "AuditGateway",
     "AuditJob",
-    "AuditService",
     "AuditVerdict",
     "DetectorRef",
     "DetectorRegistry",
     "DetectorSpec",
-    "ExecutorSession",
     "GatewayVerdict",
     "LockTimeout",
     "RegistryEntry",
@@ -84,13 +78,11 @@ __all__ = [
     "verdict_cache_key",
 ]
 
-#: service classes import the detector, which imports this package's
+#: serving classes import the detector, which imports this package's
 #: submodules; resolving them lazily keeps the import graph acyclic
 _LAZY = {
-    "AuditService": "repro.runtime.service",
-    "AuditVerdict": "repro.runtime.service",
-    "AsyncAuditService": "repro.runtime.service_async",
-    "AuditJob": "repro.runtime.service_async",
+    "AuditVerdict": "repro.runtime.workers",
+    "AuditJob": "repro.runtime.gateway",
     "DetectorRegistry": "repro.runtime.registry",
     "DetectorSpec": "repro.runtime.registry",
     "RegistryEntry": "repro.runtime.registry",

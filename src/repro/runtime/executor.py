@@ -10,49 +10,13 @@ in submission order.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.config import RuntimeConfig
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-class ExecutorSession:
-    """Incremental-submission view of a :class:`ParallelExecutor`.
-
-    ``map`` is the right shape for fixed batches; streaming consumers
-    (:class:`~repro.runtime.service_async.AsyncAuditService`) instead need to
-    feed tasks in as results drain out.  A session wraps a long-lived pool and
-    exposes ``submit``, returning :class:`concurrent.futures.Future`s.  With
-    no pool (serial backend or ``workers=1``) the task runs synchronously at
-    submission time and the returned future is already resolved, so callers
-    degrade gracefully to a plain ordered loop.
-    """
-
-    def __init__(self, pool=None) -> None:
-        self._pool = pool
-
-    @property
-    def parallel(self) -> bool:
-        """Whether submitted tasks actually run concurrently."""
-        return self._pool is not None
-
-    def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
-        if self._pool is not None:
-            return self._pool.submit(fn, *args)
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:  # surfaced via future.result(), like a pool;
-            # KeyboardInterrupt/SystemExit propagate — a real pool's caller
-            # would see those too, never a worker.  The broad catch is the
-            # contract here (any task exception must reach the future), which
-            # repro-lint L302 recognises by the set_exception call below
-            future.set_exception(exc)
-        return future
 
 
 class ParallelExecutor:
@@ -92,24 +56,6 @@ class ParallelExecutor:
         pool_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
         with pool_cls(max_workers=min(self.workers, len(items))) as pool:
             return list(pool.map(fn, items))
-
-    @contextmanager
-    def session(self):
-        """Open an :class:`ExecutorSession` for incremental task submission.
-
-        The pool stays alive for the whole ``with`` block and is drained on
-        exit; a non-parallel executor yields a poolless session that runs
-        tasks inline.
-        """
-        if not self.parallel:
-            yield ExecutorSession(None)
-            return
-        pool_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-        pool = pool_cls(max_workers=self.workers)
-        try:
-            yield ExecutorSession(pool)
-        finally:
-            pool.shutdown(wait=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelExecutor(workers={self.workers}, backend={self.backend!r})"

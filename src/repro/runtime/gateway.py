@@ -1,9 +1,9 @@
-"""Multi-tenant audit gateway: one front door for a fleet of detectors.
+"""Multi-tenant audit gateway: the one serving path for every audit.
 
 The serve path below this module scales one detector (batched queries,
-streaming verdicts, stacked pools); the gateway scales *tenants*.  An MLaaS
-auditor receives heterogeneous suspicious models — different architecture
-families, datasets, requested defenses — and the gateway:
+stacked pools); the gateway scales *tenants*.  An MLaaS auditor receives
+heterogeneous suspicious models — different architecture families, datasets,
+requested defenses — and the gateway:
 
 * **routes** each ``(key, model, metadata)`` submission to its tenant's
   detector, matching on requested defense, architecture family
@@ -12,13 +12,14 @@ families, datasets, requested defenses — and the gateway:
 * **loads or fits** each tenant's detector through the
   :class:`~repro.runtime.registry.DetectorRegistry` — at most one fit
   fleet-wide, zero training on a warm store;
-* **fans out** each tenant group onto its own
-  :class:`~repro.runtime.service_async.AsyncAuditService` (BPROM) or an
-  equivalent thin MNTD scoring service, under one *shared* ``max_in_flight``
-  budget, so a burst on one tenant cannot starve the process of memory;
-* **merges** the per-tenant verdict streams into a single completion-ordered
-  stream of :class:`GatewayVerdict`; verdicts are bit-identical to running
-  each tenant's :class:`~repro.runtime.service.AuditService` by hand (the
+* **serves** each submission through one path: route → verdict-cache lookup
+  or in-flight follow → budget slot → cache claim → one task on the shared
+  :class:`~repro.runtime.workers.WorkerPool` → harvest.  Only a cold leader
+  takes a slot of the shared ``max_in_flight`` budget and becomes a pool
+  task, so a burst on one tenant cannot starve the process of memory;
+* **merges** every tenant's verdicts into a single completion-ordered
+  stream of :class:`GatewayVerdict`; verdicts are bit-identical to calling
+  each tenant detector's ``inspect(model, seed_key=key)`` by hand (the
   per-key seed derivation is shared);
 * **reports** the whole serving picture in one :meth:`stats` snapshot:
   per-tenant verdict counts and query budgets, registry hit/miss/evict
@@ -37,30 +38,23 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.config import DEFAULT_RUNTIME, RuntimeConfig
 from repro.datasets.base import ImageDataset
-from repro.defenses.model_level import MNTDDefense
 from repro.models.classifier import ImageClassifier
 from repro.models.registry import architecture_family
 from repro.obs.clock import now
 from repro.obs.metrics import QUERY_BUCKETS, MetricsRegistry, merge_snapshots
 from repro.obs.trace import TraceContext, get_tracer, new_id, rebased
 from repro.prompting.blackbox import QueryFunction
-from repro.runtime.executor import ExecutorSession, ParallelExecutor
 from repro.runtime.registry import DetectorRegistry, DetectorSpec, RegistryEntry
-from repro.runtime.service import AuditVerdict
-from repro.runtime.service_async import (
-    AsyncAuditService,
-    AuditJob,
-    SessionLifecycleMixin,
-    _cached_audit_task,
-)
 from repro.runtime.sharding import ShardedArtifactStore
 from repro.runtime.store import dataset_fingerprint
 from repro.runtime.verdict_cache import VerdictCache
 from repro.runtime.workers import (
+    AuditVerdict,
     DetectorRef,
     WorkerPool,
+    _audit_task,
+    _cached_audit_task,
     _mntd_audit_task,
-    _ref_mntd_audit_task,
     _traced_task,
 )
 
@@ -72,79 +66,36 @@ class GatewayVerdict(AuditVerdict):
     tenant: str = ""
 
 
-class _MNTDAuditService(SessionLifecycleMixin):
-    """Thin MNTD sibling of :class:`AsyncAuditService`: submit/reap/close.
+@dataclass
+class AuditJob:
+    """Handle to one submitted audit: the catalogue key plus its pending verdict."""
 
-    MNTD scoring is one query batch plus a forest vote — cheap enough that it
-    needs no backpressure of its own; the gateway's shared budget still
-    applies to it like any other tenant.  The session lifecycle is the shared
-    :class:`~repro.runtime.service_async.SessionLifecycleMixin`.
-    """
+    key: str
+    future: "Future[AuditVerdict]" = field(repr=False)
 
-    def __init__(
-        self,
-        defense: MNTDDefense,
-        clean_data: ImageDataset,
-        runtime: Optional[RuntimeConfig] = None,
-        detector_ref: Optional[DetectorRef] = None,
-        session: Optional[ExecutorSession] = None,
-    ) -> None:
-        self.detector = defense
-        self.clean_data = clean_data
-        self.detector_ref = detector_ref
-        self.executor = ParallelExecutor.from_config(runtime)
-        self._init_session(shared=session)
+    @property
+    def done(self) -> bool:
+        return self.future.done()
 
-    def _task(self, key: str, model: ImageClassifier) -> tuple:
-        """The ``(fn, *args)`` tuple one MNTD scoring submits (ref shape for
-        process backends, detector shape otherwise)."""
-        if self.detector_ref is not None:
-            return (_ref_mntd_audit_task, self.detector_ref, self.clean_data, key, model)
-        return (_mntd_audit_task, self.detector, self.clean_data, key, model)
-
-    def submit(
-        self,
-        key: str,
-        model: ImageClassifier,
-        query_function: Optional[QueryFunction] = None,
-        verdict_cache: Optional[VerdictCache] = None,
-        cache_key: Optional[Dict[str, Any]] = None,
-        trace_ctx: Optional[TraceContext] = None,
-    ) -> AuditJob:
-        if query_function is not None:
-            # MNTD queries the model object directly; there is no seam for a
-            # caller-supplied query wrapper, and silently bypassing one would
-            # skip whatever rate limiting / accounting it implements
-            warnings.warn(
-                f"MNTD tenant ignores the query_function supplied for {key!r}: "
-                "MNTD scores models through their own predict_proba, not a "
-                "black-box query interface"
-            )
-        session = self._ensure_session()
-        task = self._task(key, model)
-        if verdict_cache is not None and cache_key is not None:
-            # wrap-only mode (the gateway owns lookup/dedup): the task runs
-            # through the cache's store tier for cross-process single flight
-            task = (_cached_audit_task, verdict_cache, cache_key, key, *task)
-        if trace_ctx is not None:
-            task = (_traced_task, trace_ctx, *task)
-        future = session.submit(*task)
-        return AuditJob(key=key, future=future)
-
-    def reap(self, job: AuditJob) -> None:
-        """No retained queue to drop from — jobs live only in their futures."""
+    def result(self, timeout: Optional[float] = None) -> AuditVerdict:
+        """Block until the verdict is available (re-raises task exceptions)."""
+        return self.future.result(timeout)
 
 
 @dataclass
 class Tenant:
-    """One registered tenant: its spec, fitted detector and serving front-end."""
+    """One registered tenant: its spec, registry entry and what a task needs."""
 
     tenant_id: str
     spec: DetectorSpec
     entry: RegistryEntry
-    service: Union[AsyncAuditService, _MNTDAuditService]
     #: dataset fingerprints this tenant answers for (routing coordinate)
     fingerprints: Tuple[str, ...]
+    #: what a pool task audits against: the fitted detector, or on the
+    #: process backend its pickle-cheap :class:`DetectorRef`
+    detector: Any
+    #: MNTD's clean data (the shadow-pool data it scores models on)
+    clean_data: Optional[ImageDataset] = None
     accepted: int = 0
     rejected: int = 0
     #: black-box queries actually spent (cold inspections only — warm
@@ -166,6 +117,14 @@ class Tenant:
     @property
     def family(self) -> str:
         return self.spec.family
+
+    def task(
+        self, key: str, model: ImageClassifier, query_function: Optional[QueryFunction]
+    ) -> tuple:
+        """The ``(fn, *args)`` pool task one cold audit of ``model`` runs."""
+        if self.defense == "mntd":
+            return (_mntd_audit_task, self.detector, self.clean_data, key, model)
+        return (_audit_task, self.detector, key, model, query_function)
 
 
 @dataclass
@@ -211,6 +170,10 @@ Submission = Union[
     Tuple[str, ImageClassifier, Optional[Dict[str, Any]]],
 ]
 
+#: a submission's telemetry coordinates:
+#: ``((trace_id, audit_span_id) | None, submit timestamp)``
+_TraceMeta = Tuple[Optional[Tuple[str, str]], float]
+
 
 class AuditGateway:
     """Front door routing a mixed model stream onto a fleet of detectors.
@@ -233,42 +196,38 @@ class AuditGateway:
         registry: Optional[DetectorRegistry] = None,
         runtime: Optional[RuntimeConfig] = None,
         max_in_flight: Optional[int] = None,
-        verdict_cache: Optional[VerdictCache] = None,
         provisioner: Optional[TenantProvisioner] = None,
-        worker_pool: Optional[WorkerPool] = None,
     ) -> None:
         if runtime is None:
             runtime = registry.runtime if registry is not None else DEFAULT_RUNTIME
         self.runtime = runtime
         self.registry = registry if registry is not None else DetectorRegistry(runtime=runtime)
-        if worker_pool is None:
-            backend = runtime.gateway_backend
-            if backend == "process" and not self.registry.store.enabled:
-                # process workers hydrate detectors from the shared store by
-                # registry key; without a store they could only refit, which
-                # the warm-loading contract forbids
-                warnings.warn(
-                    "gateway_backend='process' requires a persistent artifact "
-                    "store for worker-side detector hydration; falling back to "
-                    "the thread backend"
-                )
-                backend = "thread"
-            worker_pool = WorkerPool(
-                workers=runtime.gateway_workers or runtime.workers, backend=backend
+        backend = runtime.backend
+        if backend == "process" and not self.registry.store.enabled:
+            # process workers hydrate detectors from the shared store by
+            # registry key; without a store they could only refit, which
+            # the warm-loading contract forbids
+            warnings.warn(
+                "backend='process' requires a persistent artifact store for "
+                "worker-side detector hydration; falling back to the thread "
+                "backend"
             )
-        #: the shared tenant worker pool every service submits through
-        self.worker_pool = worker_pool
+            backend = "thread"
+        #: the shared tenant worker pool every cold audit runs on
+        self.worker_pool = WorkerPool(workers=runtime.workers, backend=backend)
         #: auto-provisioning policy; ``None`` keeps unroutable submissions an error
         self.provisioner = provisioner
         self._provision_lock = threading.Lock()
-        if verdict_cache is None and runtime.verdict_cache:
-            # share the registry's (possibly sharded) store so cached verdicts
-            # live beside the detectors that produced them
-            verdict_cache = VerdictCache(store=self.registry.store, runtime=runtime)
-        #: fingerprint-keyed verdict memoisation; ``None`` disables caching
-        self.verdict_cache = verdict_cache
+        #: fingerprint-keyed verdict memoisation; ``None`` disables caching.
+        #: It shares the registry's (possibly sharded) store so cached
+        #: verdicts live beside the detectors that produced them
+        self.verdict_cache = (
+            VerdictCache(store=self.registry.store, runtime=runtime)
+            if runtime.verdict_cache
+            else None
+        )
         if max_in_flight is None:
-            max_in_flight = runtime.gateway_max_in_flight
+            max_in_flight = runtime.max_in_flight
         if max_in_flight is None:
             max_in_flight = 2 * runtime.workers
         if max_in_flight < 1:
@@ -277,11 +236,9 @@ class AuditGateway:
         self.max_in_flight = int(max_in_flight)
         self._slots = threading.Semaphore(self.max_in_flight)
         self._tenants: Dict[str, Tenant] = {}
-        #: submitted-but-unharvested jobs: future -> (tenant_id, job)
-        self._pending: Dict[Future, Tuple[str, AuditJob]] = {}
-        #: per-submission telemetry coordinates:
-        #: future -> ((trace_id, audit_span_id) | None, submit timestamp)
-        self._job_meta: Dict[Future, Tuple[Optional[Tuple[str, str]], float]] = {}
+        #: submitted-but-unharvested jobs: future -> (tenant_id, job, trace
+        #: coordinates)
+        self._pending: Dict[Future, Tuple[str, AuditJob, _TraceMeta]] = {}
         self._lock = threading.Lock()
         #: the gateway's own mergeable metrics (per-tenant latency and
         #: query-spend histograms); folded with every component registry in
@@ -300,7 +257,7 @@ class AuditGateway:
         target_train: Optional[ImageDataset] = None,
         target_test: Optional[ImageDataset] = None,
     ) -> Tenant:
-        """Stand up one tenant: load-or-fit its detector, open its service.
+        """Stand up one tenant: load-or-fit its detector.
 
         The detector comes through the registry, so registering the same
         tenant in a second gateway process performs zero training on a warm
@@ -315,54 +272,33 @@ class AuditGateway:
         for dataset in (target_train, target_test):
             if dataset is not None:
                 fingerprints.append(dataset_fingerprint(dataset))
-        ref = None
+        detector = entry.detector
         if self.worker_pool.backend == "process":
             # tasks ship this store address instead of the detector object;
             # workers hydrate by registry key (register_tenant just ensured
             # the artifact exists) under a serial single-worker runtime so
             # hydration never opens a nested pool
-            ref = DetectorRef(
+            detector = DetectorRef(
                 key_hash=entry.key_hash,
                 key=entry.key,
                 spec=spec,
                 runtime=self.runtime.with_overrides(workers=1, backend="serial"),
             )
-        session = self.worker_pool.session()
-        if spec.defense == "mntd":
-            service: Union[AsyncAuditService, _MNTDAuditService] = _MNTDAuditService(
-                entry.detector,
-                reserved_clean,
-                runtime=self.runtime,
-                detector_ref=ref,
-                session=session,
-            )
-        else:
-            service = AsyncAuditService(
-                entry.detector,
-                runtime=self.runtime,
-                max_in_flight=self.max_in_flight,
-                detector_ref=ref,
-                session=session,
-            )
         tenant = Tenant(
             tenant_id=tenant_id,
             spec=spec,
             entry=entry,
-            service=service,
             fingerprints=tuple(fingerprints),
+            detector=detector,
+            clean_data=reserved_clean if spec.defense == "mntd" else None,
         )
         with self._lock:
             # re-checked under the lock: the early check above is advisory,
             # and two concurrent registrations of one id must not silently
-            # overwrite (leaking the loser's open service)
+            # overwrite each other
             if tenant_id in self._tenants:
-                conflict = True
-            else:
-                conflict = False
-                self._tenants[tenant_id] = tenant
-        if conflict:
-            service.close()
-            raise ValueError(f"tenant {tenant_id!r} is already registered")
+                raise ValueError(f"tenant {tenant_id!r} is already registered")
+            self._tenants[tenant_id] = tenant
         return tenant
 
     @property
@@ -459,7 +395,7 @@ class AuditGateway:
     def _default_metadata(self, model: ImageClassifier) -> Dict[str, Any]:
         return {"architecture": getattr(model, "architecture", None)}
 
-    def _begin_trace(self) -> Tuple[Optional[Tuple[str, str]], float]:
+    def _begin_trace(self) -> _TraceMeta:
         """A submission's telemetry coordinates: trace ids (tracing only) + t0.
 
         The audit span's id is minted *now* so everything the submission
@@ -476,48 +412,11 @@ class AuditGateway:
         """Ambient-parent scope for a submission's gateway-side spans."""
         return get_tracer().context(*ids) if ids is not None else nullcontext()
 
-    def _submit_with_slot(
-        self,
-        key: str,
-        model: ImageClassifier,
-        metadata: Optional[Dict[str, Any]],
-        query_function: Optional[QueryFunction],
-    ) -> AuditJob:
-        """Submit one job; the caller has already acquired a budget slot."""
-        ids, started = self._begin_trace()
-        with self._trace_scope(ids):
-            with get_tracer().span("gateway.route"):
-                tenant = self._route_or_provision(
-                    metadata if metadata is not None else self._default_metadata(model)
-                )
-            job = tenant.service.submit(
-                key,
-                model,
-                query_function=query_function,
-                trace_ctx=TraceContext(*ids) if ids is not None else None,
-            )
-        with self._lock:
-            self._pending[job.future] = (tenant.tenant_id, job)
-            self._job_meta[job.future] = (ids, started)
-        # released when the job finishes *computing* (not when it is
-        # harvested), so the budget caps concurrent work, not retained results
-        job.future.add_done_callback(lambda _future: self._slots.release())
-        return job
-
-    # -- cached submission -----------------------------------------------------
-    def _register_cached(
-        self,
-        tenant: Tenant,
-        key: str,
-        future: Future,
-        meta: Optional[Tuple[Optional[Tuple[str, str]], float]] = None,
-    ) -> AuditJob:
-        """Book a slot-free job (cache hit / dedup follower) as pending."""
+    def _book(self, tenant: Tenant, key: str, future: Future, meta: _TraceMeta) -> AuditJob:
+        """Register a submitted job as pending harvest."""
         job = AuditJob(key=key, future=future)
         with self._lock:
-            self._pending[future] = (tenant.tenant_id, job)
-            if meta is not None:
-                self._job_meta[future] = meta
+            self._pending[future] = (tenant.tenant_id, job, meta)
         return job
 
     @staticmethod
@@ -548,7 +447,7 @@ class AuditGateway:
         else:
             self.verdict_cache.complete(token, future.result())
 
-    def _submit_cached(
+    def _submit(
         self,
         key: str,
         model: ImageClassifier,
@@ -556,59 +455,81 @@ class AuditGateway:
         query_function: Optional[QueryFunction],
         blocking: bool,
     ) -> Optional[AuditJob]:
-        """Submit through the verdict cache; ``None`` when non-blocking and
-        no budget slot is free (only cold leaders need a slot — warm hits and
-        dedup followers short-circuit the ``max_in_flight`` semaphore).
+        """The one serving path: route → cache lookup/follow → budget slot →
+        cache claim → one pool task → harvest.
+
+        A warm hit or a dedup follower returns a completed or chained job
+        without taking a slot and never reaches the pool; only a cold leader
+        takes a slot and becomes exactly one pool task.  Returns ``None``
+        when non-blocking and no budget slot is free.
         """
         cache = self.verdict_cache
-        ids, started = self._begin_trace()
-        meta = (ids, started)
+        meta = self._begin_trace()
+        ids = meta[0]
         with self._trace_scope(ids):
             with get_tracer().span("gateway.route"):
                 tenant = self._route_or_provision(
                     metadata if metadata is not None else self._default_metadata(model)
                 )
-            cache_key = cache.key_for(model, tenant.entry.key_hash, tenant.spec.precision)
-            with get_tracer().span("cache.lookup") as span:
-                verdict = cache.lookup(cache_key, key)
-                span.set(hit=verdict is not None)
-            if verdict is not None:
-                return self._register_cached(tenant, key, self._completed(verdict), meta)
-            shared = cache.follow(cache_key)
-            if shared is not None:
-                return self._register_cached(tenant, key, self._chained(shared, key), meta)
+            if query_function is not None and tenant.defense == "mntd":
+                # MNTD queries the model object directly; there is no seam for
+                # a caller-supplied query wrapper, and silently bypassing one
+                # would skip whatever rate limiting / accounting it implements
+                warnings.warn(
+                    f"MNTD tenant ignores the query_function supplied for {key!r}: "
+                    "MNTD scores models through their own predict_proba, not a "
+                    "black-box query interface"
+                )
+            if cache is not None:
+                cache_key = cache.key_for(model, tenant.entry.key_hash, tenant.spec.precision)
+                with get_tracer().span("cache.lookup") as span:
+                    verdict = cache.lookup(cache_key, key)
+                    span.set(hit=verdict is not None)
+                if verdict is not None:
+                    return self._book(tenant, key, self._completed(verdict), meta)
+                shared = cache.follow(cache_key)
+                if shared is not None:
+                    return self._book(tenant, key, self._chained(shared, key), meta)
             if not self._slots.acquire(blocking=blocking):
                 # declined: the entry is re-queued and re-submitted later with
                 # fresh coordinates; this attempt's route/lookup spans stay in
                 # the trace as roots without an audit span (the work really
                 # did run twice)
                 return None
-            claim = cache.begin(cache_key, key)
-            if claim[0] == "verdict":
-                self._slots.release()
-                return self._register_cached(tenant, key, self._completed(claim[1]), meta)
-            if claim[0] == "follower":
-                self._slots.release()
-                return self._register_cached(tenant, key, self._chained(claim[1], key), meta)
-            token = claim[1]
+            token = None
+            if cache is not None:
+                claim = cache.begin(cache_key, key)
+                if claim[0] != "leader":
+                    self._slots.release()
+                    future = (
+                        self._completed(claim[1])
+                        if claim[0] == "verdict"
+                        else self._chained(claim[1], key)
+                    )
+                    return self._book(tenant, key, future, meta)
+                token = claim[1]
+            task = tenant.task(key, model, query_function)
+            if token is not None:
+                # the task runs through the cache's store tier for
+                # cross-process single flight and write-back
+                task = (_cached_audit_task, cache, cache_key, key, *task)
+            if ids is not None:
+                # outermost wrapper: the worker-side sink must cover the cache
+                # read-through too
+                task = (_traced_task, TraceContext(*ids), *task)
             try:
-                job = tenant.service.submit(
-                    key,
-                    model,
-                    query_function=query_function,
-                    verdict_cache=cache,
-                    cache_key=cache_key,
-                    trace_ctx=TraceContext(*ids) if ids is not None else None,
-                )
+                future = self.worker_pool.submit(*task)
             except BaseException as exc:
                 self._slots.release()
-                cache.fail(token, exc)
+                if token is not None:
+                    cache.fail(token, exc)
                 raise
-        with self._lock:
-            self._pending[job.future] = (tenant.tenant_id, job)
-            self._job_meta[job.future] = meta
-        job.future.add_done_callback(lambda _future: self._slots.release())
-        job.future.add_done_callback(lambda future: self._finish_claim(token, future))
+        job = self._book(tenant, key, future, meta)
+        # released when the job finishes *computing* (not when it is
+        # harvested), so the budget caps concurrent work, not retained results
+        future.add_done_callback(lambda _future: self._slots.release())
+        if token is not None:
+            future.add_done_callback(lambda done: self._finish_claim(token, done))
         return job
 
     def submit(
@@ -622,25 +543,18 @@ class AuditGateway:
 
         ``metadata`` defaults to routing by the model's recorded
         architecture.  The returned job resolves to a plain
-        :class:`~repro.runtime.service.AuditVerdict`; harvest through
+        :class:`~repro.runtime.workers.AuditVerdict`; harvest through
         :meth:`as_completed`/:meth:`stream` to get tenant-annotated
         :class:`GatewayVerdict` rows and per-tenant accounting.
 
         With a :class:`~repro.runtime.verdict_cache.VerdictCache` configured,
         a warm submission returns an already-completed job without blocking
         at the budget, and concurrent submissions of one model fingerprint
-        share a single inspection.
+        share a single inspection.  ``query_function`` applies to BPROM
+        tenants; an MNTD tenant warns and scores the model object directly
+        (MNTD has no black-box query seam).
         """
-        if self.verdict_cache is not None and self.verdict_cache.enabled:
-            job = self._submit_cached(key, model, metadata, query_function, blocking=True)
-            assert job is not None  # blocking acquire cannot decline
-            return job
-        self._slots.acquire()
-        try:
-            return self._submit_with_slot(key, model, metadata, query_function)
-        except BaseException:
-            self._slots.release()
-            raise
+        return self._submit(key, model, metadata, query_function, blocking=True)
 
     # -- harvesting ------------------------------------------------------------
     @property
@@ -652,20 +566,14 @@ class AuditGateway:
     def _harvest(self, future: Future) -> Optional[GatewayVerdict]:
         with self._lock:
             item = self._pending.pop(future, None)
-            meta = self._job_meta.pop(future, None)
         if item is None:
             return None  # already harvested by a concurrent consumer
-        tenant_id, job = item
-        try:
-            verdict = job.result()  # re-raises task exceptions
-        finally:
-            # reap even when the task failed: a long-lived gateway auditing
-            # untrusted vendor models must not retain the bad job's handle
-            # in its tenant service until close().  Verdicts of *other*
-            # completed jobs stay in _pending and remain harvestable via
-            # as_completed() after the consumer handles the error.
-            with self._lock:
-                self._tenants[tenant_id].service.reap(job)
+        tenant_id, job, meta = item
+        # re-raises task exceptions; the failed job's handle is already
+        # dropped, while verdicts of *other* completed jobs stay pending and
+        # remain harvestable via as_completed() after the consumer handles
+        # the error
+        verdict = job.result()
         with self._lock:
             tenant = self._tenants[tenant_id]
             if verdict.is_backdoored:
@@ -697,7 +605,7 @@ class AuditGateway:
 
     def _record_telemetry(
         self,
-        meta: Optional[Tuple[Optional[Tuple[str, str]], float]],
+        meta: _TraceMeta,
         tenant_id: str,
         verdict: AuditVerdict,
         provenance: str,
@@ -712,8 +620,6 @@ class AuditGateway:
         happened in some earlier trace, which is exactly what the cache
         provenance already says.
         """
-        if meta is None:
-            return
         ids, started = meta
         end = now()
         self.metrics.histogram("gateway.audit_seconds", tenant=tenant_id).observe(
@@ -787,9 +693,9 @@ class AuditGateway:
         ``(key, model, metadata)``.  At most ``max_in_flight`` jobs are
         outstanding across all tenants; slots freed by finishing jobs are
         refilled before each yield, so the workers stay fed while the
-        consumer processes verdicts.  Verdicts are bit-identical to auditing
-        each tenant's group through its own ``AuditService`` with the same
-        keys; only arrival order differs.  ``query_functions`` apply to BPROM
+        consumer processes verdicts.  Verdicts are bit-identical to
+        inspecting each entry with its tenant's detector under the same key;
+        only arrival order differs.  ``query_functions`` apply to BPROM
         tenants; an entry routed to an MNTD tenant warns and scores the model
         object directly (MNTD has no black-box query seam).
         """
@@ -816,8 +722,6 @@ class AuditGateway:
             with self._lock:
                 return any(future.done() for future in self._pending)
 
-        cached = self.verdict_cache is not None and self.verdict_cache.enabled
-
         def top_up() -> None:
             # stop early once results are waiting: on an inline (serial)
             # executor every submission completes synchronously, and draining
@@ -830,24 +734,11 @@ class AuditGateway:
                 query_function = (
                     query_functions.get(key) if query_functions is not None else None
                 )
-                if cached:
-                    # warm hits and dedup followers need no budget slot; only
-                    # a cold leader does, and declining (no slot) re-queues
-                    job = self._submit_cached(
-                        key, model, metadata, query_function, blocking=False
-                    )
-                    if job is None:
-                        lookahead.append(entry)
-                        return
-                    continue
-                if not self._slots.acquire(blocking=False):
+                # warm hits and dedup followers need no budget slot; only a
+                # cold leader does, and declining (no slot) re-queues
+                if self._submit(key, model, metadata, query_function, blocking=False) is None:
                     lookahead.append(entry)
                     return
-                try:
-                    self._submit_with_slot(key, model, metadata, query_function)
-                except BaseException:
-                    self._slots.release()
-                    raise
 
         while True:
             top_up()
@@ -960,13 +851,7 @@ class AuditGateway:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Shut every tenant's service down, then the shared worker pool.
-
-        Tenant services first: they only close sessions they *own* (the
-        shared pool session is the gateway's), then the pool drain waits for
-        every outstanding task."""
-        for tenant in self.tenants.values():
-            tenant.service.close()
+        """Shut the shared worker pool down; waits for every outstanding task."""
         self.worker_pool.close()
 
     def __enter__(self) -> "AuditGateway":

@@ -78,7 +78,7 @@ VERDICT_CACHE_FORMAT_VERSION = 1
 #: when accounting the in-memory tier against ``max_bytes``
 _ENTRY_OVERHEAD_BYTES = 256
 
-#: cache provenance values an :class:`~repro.runtime.service.AuditVerdict`
+#: cache provenance values an :class:`~repro.runtime.workers.AuditVerdict`
 #: may carry: ``"cold"`` (inspected now), ``"memory"``/``"store"`` (served
 #: from a tier), ``"dedup"`` (shared a concurrent submission's inspection)
 CACHE_PROVENANCES = ("cold", "memory", "store", "dedup")
@@ -121,13 +121,13 @@ def verdict_cache_key(fingerprint: str, detector_digest: str, precision: str) ->
 
 
 def detector_digest(detector: Any) -> str:
-    """Content digest of a fitted detector, for services outside the registry.
+    """Content digest of a fitted detector, for detectors outside the registry.
 
     Gateway tenants use their registry entry's ``key_hash`` (which already
-    encodes profile/seed/data/precision); a bare
-    :class:`~repro.runtime.service.AuditService` has no registry entry, so
-    this hashes the state that inspection actually reads: the meta-classifier
-    state, the query pool, the decision threshold and the precision tier.
+    encodes profile/seed/data/precision); a detector fitted outside the
+    registry has no registry entry, so this hashes the state that inspection
+    actually reads: the meta-classifier state, the query pool, the decision
+    threshold and the precision tier.
     Refitting the detector changes the meta state, hence the digest.
     """
     digest = hashlib.sha256()
@@ -396,11 +396,10 @@ class VerdictCache:
     def store_verdict(self, key: Dict[str, Any], verdict: Any) -> None:
         """Write-back one cold verdict to both tiers.
 
-        Used by the batch :meth:`~repro.runtime.service.AuditService.audit`
-        path, which inspects its misses as one parallel fan-out and fills the
-        cache afterwards (the streaming paths fill through
-        :meth:`complete`/:meth:`compute_through_store` instead).  A store
-        entry that landed concurrently is kept (first-wins).
+        For callers that inspect outside the cache and fill it afterwards
+        (the gateway fills through :meth:`complete`/
+        :meth:`compute_through_store` instead).  A store entry that landed
+        concurrently is kept (first-wins).
         """
         if not self.enabled:
             return
@@ -411,23 +410,13 @@ class VerdictCache:
         if self.store.enabled and not self.store.contains(VERDICT_KIND, key):
             self._write_store(key, verdict)
 
-    def record_miss(self) -> None:
-        """Count one cold inspection decision made outside :meth:`begin`."""
-        with self._lock:
-            self.misses += 1
-
-    def record_dedup(self) -> None:
-        """Count one submission that shared another's inspection."""
-        with self._lock:
-            self.dedup_hits += 1
-
     # -- the one-call synchronous form ----------------------------------------
     def get_or_compute(self, key: Dict[str, Any], name: str, compute: Callable[[], Any]) -> Any:
         """Serve from any tier, deduplicate in flight, or inspect and fill.
 
-        The synchronous composition of the whole protocol, used by the batch
-        :class:`~repro.runtime.service.AuditService` and by tests; the
-        streaming paths drive :meth:`lookup`/:meth:`begin` asynchronously.
+        The synchronous composition of the whole protocol, for callers that
+        block on one verdict; the gateway drives :meth:`lookup`/:meth:`begin`
+        asynchronously.
         """
         if not self.enabled:
             return compute()
@@ -544,7 +533,7 @@ class VerdictCache:
             self.store.delete(VERDICT_KIND, key)
             return None
         payload = document["payload"]
-        from repro.runtime.service import AuditVerdict
+        from repro.runtime.workers import AuditVerdict
 
         return AuditVerdict(
             name=payload["name"],

@@ -1,17 +1,12 @@
-"""Tenant worker pools: the gateway's shared dispatch layer, process-capable.
+"""Tenant worker pool: the gateway's one dispatch layer, process-capable.
 
-The per-tenant services (:class:`~repro.runtime.service_async.AsyncAuditService`
-and the gateway's MNTD sibling) used to each own a thread pool, so gateway
-throughput was capped by the GIL plus whatever BLAS releases.  This module
-provides the layer that turns "scales within one process" into "scales with
-the machine":
+This module holds everything one cold audit needs once it leaves the
+gateway, so "scales within one process" becomes "scales with the machine":
 
 * :class:`WorkerPool` — one persistent executor shared by every tenant of an
   :class:`~repro.runtime.gateway.AuditGateway`, with a ``"thread"`` (default),
-  ``"process"`` (true multi-core) or ``"serial"`` (inline) backend.  Tenant
-  services submit through its shared
-  :class:`~repro.runtime.executor.ExecutorSession` instead of opening pools of
-  their own.
+  ``"process"`` (true multi-core) or ``"serial"`` (inline) backend.
+  :meth:`WorkerPool.submit` counts each task and runs it on the pool.
 * :class:`DetectorRef` — a pickle-cheap address of one fitted detector: the
   :func:`~repro.runtime.registry.registry_key` payload plus the spec and a
   runtime describing the shared store.  Process backends ship the *ref*, not
@@ -20,6 +15,7 @@ the machine":
   a detector loads it from the shared (sharded) store by registry key —
   **warm-loading, never refitting** — and caches it in the worker process, so
   every later task on that worker serves from memory.
+* :class:`AuditVerdict` and the pool tasks that build it.
 
 Every task function here is module-level: process backends pickle tasks by
 qualified name, so closures, lambdas and bound methods would fail at submit
@@ -37,20 +33,46 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import RuntimeConfig
 from repro.datasets.base import ImageDataset
-from repro.defenses.model_level import MNTDDefense
 from repro.models.classifier import ImageClassifier
 from repro.obs.clock import now
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.trace import TraceContext, collect, get_tracer, relative_to
 from repro.prompting.blackbox import QueryFunction
-from repro.runtime.executor import ExecutorSession
 from repro.runtime.registry import DETECTOR_KIND, DetectorSpec, load_detector_artifact
-from repro.runtime.service import AuditVerdict
 from repro.runtime.store import MISS, ArtifactStore
+
+
+@dataclass
+class AuditVerdict:
+    """One audited model's verdict."""
+
+    name: str
+    backdoor_score: float
+    is_backdoored: bool
+    prompted_accuracy: float
+    #: black-box query budget spent prompting this model (images queried)
+    query_count: int = 0
+    #: round-trips to the model's query endpoint
+    query_calls: int = 0
+    #: how this verdict was obtained: ``"cold"`` (inspected for this
+    #: submission) or a :data:`~repro.runtime.verdict_cache.CACHE_PROVENANCES`
+    #: cache tier (``"memory"``/``"store"``/``"dedup"``).  ``query_count``
+    #: and ``query_calls`` always describe the *original* inspection; a warm
+    #: serving spent none of them
+    cache: str = "cold"
+    #: task-relative telemetry spans a traced pool worker ships back with a
+    #: cold verdict; the gateway consumes (rebases and clears) them at
+    #: harvest.  Excluded from equality and repr — telemetry on/off must not
+    #: change what a verdict *is* — and never persisted by the verdict cache
+    spans: List = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def verdict(self) -> str:
+        return "reject" if self.is_backdoored else "accept"
 
 
 @dataclass(frozen=True)
@@ -75,14 +97,18 @@ _HYDRATED: Dict[str, Any] = {}
 _HYDRATE_LOCK = threading.Lock()
 
 
-def resolve_detector(ref: DetectorRef) -> Any:
-    """The fitted detector a ref addresses, hydrated at most once per process.
+def resolve_detector(ref: Any) -> Any:
+    """The fitted detector a task audits against.
 
-    Warm-loading only: the artifact must already exist in the shared store
-    (the gateway's ``register_tenant`` fitted-or-loaded it before any task
-    could reference it), so a miss here is an environment error — e.g. a
-    worker pointed at the wrong store — and never triggers a refit.
+    A fitted detector passes through; a :class:`DetectorRef` is hydrated at
+    most once per process.  Warm-loading only: the artifact must already
+    exist in the shared store (the gateway's ``register_tenant``
+    fitted-or-loaded it before any task could reference it), so a miss here
+    is an environment error — e.g. a worker pointed at the wrong store — and
+    never triggers a refit.
     """
+    if not isinstance(ref, DetectorRef):
+        return ref
     with _HYDRATE_LOCK:
         detector = _HYDRATED.get(ref.key_hash)
         if detector is not None:
@@ -118,7 +144,9 @@ def _audit_task(
     query_function: Optional[QueryFunction],
 ) -> AuditVerdict:
     """One BPROM inspection; the per-task seed derives from the catalogue key."""
-    result = detector.inspect(model, query_function=query_function, seed_key=key)
+    result = resolve_detector(detector).inspect(
+        model, query_function=query_function, seed_key=key
+    )
     return AuditVerdict(
         name=key,
         backdoor_score=result.backdoor_score,
@@ -129,20 +157,11 @@ def _audit_task(
     )
 
 
-def _ref_audit_task(
-    ref: DetectorRef,
-    key: str,
-    model: ImageClassifier,
-    query_function: Optional[QueryFunction],
-) -> AuditVerdict:
-    """BPROM inspection against a :class:`DetectorRef` (process backend)."""
-    return _audit_task(resolve_detector(ref), key, model, query_function)
-
-
 def _mntd_audit_task(
-    defense: MNTDDefense, clean_data: ImageDataset, key: str, model: ImageClassifier
+    defense: Any, clean_data: ImageDataset, key: str, model: ImageClassifier
 ) -> AuditVerdict:
     """One MNTD scoring pass: a query batch plus the meta-forest vote."""
+    defense = resolve_detector(defense)
     score = float(defense.score_model(model, clean_data))
     return AuditVerdict(
         name=key,
@@ -152,11 +171,15 @@ def _mntd_audit_task(
     )
 
 
-def _ref_mntd_audit_task(
-    ref: DetectorRef, clean_data: ImageDataset, key: str, model: ImageClassifier
-) -> AuditVerdict:
-    """MNTD scoring against a :class:`DetectorRef` (process backend)."""
-    return _mntd_audit_task(resolve_detector(ref), clean_data, key, model)
+def _cached_audit_task(cache: Any, cache_key, name: str, task, *args) -> AuditVerdict:
+    """Run one audit task through the verdict cache's store tier.
+
+    The cache drops its in-memory/in-flight state when pickled, so process
+    backends can ship it; the advisory-lock single flight inside
+    :meth:`~repro.runtime.verdict_cache.VerdictCache.compute_through_store`
+    is what keeps two racing *processes* down to one inspection.
+    """
+    return cache.compute_through_store(cache_key, name, lambda: task(*args))
 
 
 def _traced_task(ctx: TraceContext, fn: Callable[..., Any], *args: Any) -> Any:
@@ -183,34 +206,22 @@ def _traced_task(ctx: TraceContext, fn: Callable[..., Any], *args: Any) -> Any:
 # the shared pool
 # ---------------------------------------------------------------------------
 
-class _CountingSession(ExecutorSession):
-    """An :class:`ExecutorSession` that books every submit on its pool."""
-
-    def __init__(self, pool, owner: "WorkerPool") -> None:
-        super().__init__(pool)
-        self._owner = owner
-
-    def submit(self, fn: Callable[..., Any], *args) -> Future:
-        self._owner._count_task()
-        return super().submit(fn, *args)
-
-
 class WorkerPool:
     """One persistent executor shared by every tenant of a gateway.
 
-    The pool is created lazily on first :meth:`session` call and stays alive
-    until :meth:`close`; tenant services share its session, so the machine's
-    parallelism is one dial (``workers``) rather than per-tenant pools
-    multiplying.  ``backend="process"`` requires that submitted tasks be
-    module-level callables with picklable arguments — tenant services submit
+    The executor is created lazily on the first :meth:`submit` and stays
+    alive until :meth:`close`; every tenant submits through it, so the
+    machine's parallelism is one dial (``workers``) rather than per-tenant
+    pools multiplying.  ``backend="process"`` requires that submitted tasks be
+    module-level callables with picklable arguments — process tenants submit
     :class:`DetectorRef`-based tasks for exactly this reason.
 
     Thread-safe: concurrent first submits race on one lock, so exactly one
-    pool is ever created.
+    executor is ever created.
     """
 
-    #: tasks submitted through the shared session (for :meth:`stats`);
-    #: backed by the mergeable metrics registry
+    #: tasks submitted to the pool (for :meth:`stats`); backed by the
+    #: mergeable metrics registry
     tasks = counter_property("pool.tasks")
 
     def __init__(self, workers: int = 1, backend: str = "thread") -> None:
@@ -221,7 +232,6 @@ class WorkerPool:
         self.workers = int(workers)
         self.backend = backend
         self._pool = None
-        self._session: Optional[ExecutorSession] = None
         self._lock = threading.Lock()
         self._closed = False
         self.metrics = MetricsRegistry()
@@ -231,10 +241,7 @@ class WorkerPool:
     def from_config(cls, runtime: Optional[RuntimeConfig]) -> "WorkerPool":
         if runtime is None:
             return cls(1, "thread")
-        return cls(
-            workers=runtime.gateway_workers or runtime.workers,
-            backend=runtime.gateway_backend,
-        )
+        return cls(workers=runtime.workers, backend=runtime.backend)
 
     @property
     def parallel(self) -> bool:
@@ -243,36 +250,44 @@ class WorkerPool:
 
     @property
     def started(self) -> bool:
-        """Whether the shared session (and any pool behind it) exists yet."""
+        """Whether the pool has been handed a task yet."""
         with self._lock:
-            return self._session is not None
+            return self.tasks > 0
 
-    def _count_task(self) -> None:
-        with self._lock:
-            self.tasks += 1
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Count one task and run it on the pool.
 
-    def session(self) -> ExecutorSession:
-        """The shared session; created (with its pool) on first call."""
+        A non-parallel pool (serial backend or one worker) runs the task
+        inline and returns an already-resolved future, with any task
+        exception set on it exactly as a real pool would.
+        """
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
-            if self._session is None:
-                if self.parallel:
-                    pool_cls = (
-                        ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-                    )
-                    self._pool = pool_cls(max_workers=self.workers)
-                # a serial/one-worker pool yields an inline (poolless) session,
-                # preserving the old synchronous-submit behaviour exactly
-                self._session = _CountingSession(self._pool, self)
-            return self._session
+            self.tasks += 1
+            if self.parallel and self._pool is None:
+                pool_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
+                self._pool = pool_cls(max_workers=self.workers)
+            pool = self._pool
+        if pool is not None:
+            return pool.submit(fn, *args)
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # surfaced via future.result(), like a pool;
+            # KeyboardInterrupt/SystemExit propagate — a real pool's caller
+            # would see those too, never a worker.  The broad catch is the
+            # contract here (any task exception must reach the future), which
+            # repro-lint L302 recognises by the set_exception call below
+            future.set_exception(exc)
+        return future
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {
                 "backend": self.backend,
                 "workers": self.workers,
-                "started": self._session is not None,
+                "started": self.tasks > 0,
                 "tasks": self.tasks,
             }
 
@@ -280,7 +295,7 @@ class WorkerPool:
         """Drain outstanding tasks and shut the pool down (idempotent)."""
         with self._lock:
             self._closed = True
-            pool, self._pool, self._session = self._pool, None, None
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
 

@@ -597,7 +597,7 @@ class TestL201PoolTaskUnpicklable:
             from repro.runtime import workers
 
             def dispatch(session, ref, model):
-                return session.submit(workers._ref_audit_task, ref, model)
+                return session.submit(workers._audit_task, ref, model)
             """,
             relpath=RUNTIME_PATH,
         )

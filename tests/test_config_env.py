@@ -25,9 +25,6 @@ ALL_ENV_KNOBS = (
     "REPRO_REGISTRY_LRU_BYTES",
     "REPRO_REGISTRY_LOCK_WAIT",
     "REPRO_REGISTRY_LOCK_STALE",
-    "REPRO_GATEWAY_MAX_IN_FLIGHT",
-    "REPRO_GATEWAY_BACKEND",
-    "REPRO_GATEWAY_WORKERS",
     "REPRO_DETECTOR_GC_BYTES",
     "REPRO_PRECISION",
     "REPRO_VERDICT_CACHE",
@@ -60,9 +57,6 @@ def test_every_knob_round_trips(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_REGISTRY_LRU_BYTES", "1048576")
     monkeypatch.setenv("REPRO_REGISTRY_LOCK_WAIT", "12.5")
     monkeypatch.setenv("REPRO_REGISTRY_LOCK_STALE", "90")
-    monkeypatch.setenv("REPRO_GATEWAY_MAX_IN_FLIGHT", "8")
-    monkeypatch.setenv("REPRO_GATEWAY_BACKEND", "process")
-    monkeypatch.setenv("REPRO_GATEWAY_WORKERS", "3")
     monkeypatch.setenv("REPRO_DETECTOR_GC_BYTES", "4194304")
     monkeypatch.setenv("REPRO_PRECISION", "FLOAT32")  # case-folded
     monkeypatch.setenv("REPRO_VERDICT_CACHE", "1")
@@ -82,9 +76,6 @@ def test_every_knob_round_trips(monkeypatch, tmp_path):
         registry_lru_bytes=1 << 20,
         registry_lock_wait=12.5,
         registry_lock_stale=90.0,
-        gateway_max_in_flight=8,
-        gateway_backend="process",
-        gateway_workers=3,
         detector_gc_bytes=4 << 20,
         precision="float32",
         verdict_cache=True,
@@ -99,7 +90,6 @@ def test_empty_values_fall_back_to_defaults(monkeypatch):
     for name in ALL_ENV_KNOBS:
         if name in (
             "REPRO_BACKEND",
-            "REPRO_GATEWAY_BACKEND",
             "REPRO_SHADOW_TRAINING",
             "REPRO_CACHE",
             "REPRO_VERDICT_CACHE",
@@ -115,9 +105,6 @@ def test_empty_values_fall_back_to_defaults(monkeypatch):
     assert runtime.registry_lru_bytes is None
     assert runtime.registry_lock_wait == 600.0
     assert runtime.registry_lock_stale == 3600.0
-    assert runtime.gateway_max_in_flight is None
-    assert runtime.gateway_backend == "thread"
-    assert runtime.gateway_workers is None
     assert runtime.detector_gc_bytes is None
     assert runtime.precision == "float64"
     assert runtime.verdict_cache is False
@@ -159,8 +146,6 @@ def test_single_shard_dir(monkeypatch, tmp_path):
         "REPRO_WORKERS",
         "REPRO_MAX_IN_FLIGHT",
         "REPRO_REGISTRY_LRU_BYTES",
-        "REPRO_GATEWAY_MAX_IN_FLIGHT",
-        "REPRO_GATEWAY_WORKERS",
         "REPRO_DETECTOR_GC_BYTES",
         "REPRO_VERDICT_CACHE_BYTES",
     ],
@@ -190,10 +175,6 @@ def test_malformed_enumerations_fail_fast(monkeypatch):
     with pytest.raises(ValueError, match="backend"):
         RuntimeConfig.from_env()
     monkeypatch.delenv("REPRO_BACKEND")
-    monkeypatch.setenv("REPRO_GATEWAY_BACKEND", "quantum")
-    with pytest.raises(ValueError, match="gateway_backend"):
-        RuntimeConfig.from_env()
-    monkeypatch.delenv("REPRO_GATEWAY_BACKEND")
     monkeypatch.setenv("REPRO_SHADOW_TRAINING", "psychic")
     with pytest.raises(ValueError, match="shadow_training"):
         RuntimeConfig.from_env()
@@ -208,14 +189,10 @@ def test_out_of_range_values_fail_validation(monkeypatch):
     with pytest.raises(ValueError, match="workers"):
         RuntimeConfig.from_env()
     monkeypatch.setenv("REPRO_WORKERS", "1")
-    monkeypatch.setenv("REPRO_GATEWAY_MAX_IN_FLIGHT", "0")
-    with pytest.raises(ValueError, match="gateway_max_in_flight"):
+    monkeypatch.setenv("REPRO_MAX_IN_FLIGHT", "0")
+    with pytest.raises(ValueError, match="max_in_flight"):
         RuntimeConfig.from_env()
-    monkeypatch.setenv("REPRO_GATEWAY_MAX_IN_FLIGHT", "2")
-    monkeypatch.setenv("REPRO_GATEWAY_WORKERS", "0")
-    with pytest.raises(ValueError, match="gateway_workers"):
-        RuntimeConfig.from_env()
-    monkeypatch.delenv("REPRO_GATEWAY_WORKERS")
+    monkeypatch.delenv("REPRO_MAX_IN_FLIGHT")
     monkeypatch.setenv("REPRO_DETECTOR_GC_BYTES", "-1")
     with pytest.raises(ValueError, match="detector_gc_bytes"):
         RuntimeConfig.from_env()
@@ -242,9 +219,9 @@ def test_registry_and_gateway_read_the_env_knobs(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_REGISTRY_LRU_BYTES", "2048")
     monkeypatch.setenv("REPRO_REGISTRY_LOCK_WAIT", "1.5")
     monkeypatch.setenv("REPRO_REGISTRY_LOCK_STALE", "99")
-    monkeypatch.setenv("REPRO_GATEWAY_MAX_IN_FLIGHT", "5")
-    monkeypatch.setenv("REPRO_GATEWAY_BACKEND", "process")
-    monkeypatch.setenv("REPRO_GATEWAY_WORKERS", "3")
+    monkeypatch.setenv("REPRO_MAX_IN_FLIGHT", "5")
+    monkeypatch.setenv("REPRO_BACKEND", "process")
+    monkeypatch.setenv("REPRO_WORKERS", "3")
     runtime = RuntimeConfig.from_env()
     registry = DetectorRegistry(runtime=runtime)
     assert registry.lru_bytes == 2048

@@ -111,6 +111,19 @@ def test_detector_end_to_end(micro_profile, tiny_dataset, tiny_test_dataset, sha
     assert scores.shape == (2,)
 
 
+def test_inspect_without_key_still_seeds_on_name(
+    micro_profile, tiny_dataset, tiny_test_dataset, shadow_pool, trained_mlp
+):
+    """Without a key, the single-model path seeds prompting on the model name."""
+    detector = BpromDetector(profile=micro_profile, architecture="mlp", seed=0)
+    detector.fit(tiny_dataset, tiny_dataset, tiny_test_dataset, shadow_models=shadow_pool)
+    by_default = detector.prompt_suspicious(trained_mlp)
+    by_name = detector.prompt_suspicious(trained_mlp, seed_key=trained_mlp.name)
+    np.testing.assert_array_equal(by_default.prompt.theta, by_name.prompt.theta)
+    with pytest.raises(ValueError):
+        detector.inspect_many([trained_mlp, trained_mlp], keys=["just-one"])
+
+
 def test_detector_requires_fit_before_inspect(micro_profile, trained_mlp):
     detector = BpromDetector(profile=micro_profile, architecture="mlp", seed=0)
     with pytest.raises(RuntimeError):

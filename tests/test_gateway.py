@@ -1,23 +1,25 @@
 """Tests for the multi-tenant audit gateway.
 
 Acceptance property: gateway verdicts are bit-identical (scores within 1e-9,
-identical labels) to routing each model through its tenant's ``AuditService``
-by hand, for a mixed catalogue spanning two tenants and two architecture
-families — plus routing rules, the shared in-flight budget and the ``stats``
-snapshot.
+identical labels) to inspecting each model with its tenant's detector by hand
+under the same key, for a mixed catalogue spanning two tenants and two
+architecture families — plus routing rules, the shared in-flight budget and
+the ``stats`` snapshot.
 """
 
 from __future__ import annotations
 
 import copy
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
 from repro.models.registry import build_classifier
-from repro.runtime import AuditGateway, AuditService, DetectorRegistry, TenantProvisioner
+from repro.runtime import AuditGateway, DetectorRegistry, TenantProvisioner
 from repro.runtime.registry import DetectorSpec
 
 
@@ -107,22 +109,26 @@ def test_route_requires_registered_tenants(micro_profile):
 # verdict equivalence (the acceptance criterion)
 # ---------------------------------------------------------------------------
 
-def test_gateway_verdicts_match_per_tenant_audit_services(warm_gateway, vendor_models):
-    """Mixed two-family catalogue: the merged stream must agree with two
-    by-hand per-tenant ``AuditService.audit`` runs to <= 1e-9, identical labels."""
+def test_gateway_verdicts_match_per_tenant_inspection(warm_gateway, vendor_models):
+    """Mixed two-family catalogue: the merged stream must agree with by-hand
+    ``inspect(model, seed_key=key)`` on each tenant's detector to <= 1e-9,
+    identical labels."""
     submissions = [(name, model) for name, model in vendor_models.items()]
     verdicts = {verdict.name: verdict for verdict in warm_gateway.stream(submissions)}
     assert set(verdicts) == set(vendor_models)
 
     tenants = warm_gateway.tenants
     for tenant_id, prefix in (("vision-cnn", "vendor-cnn"), ("tabular-mlp", "vendor-mlp")):
-        service = AuditService(tenants[tenant_id].entry.detector)
-        group = {name: model for name, model in vendor_models.items() if name.startswith(prefix)}
-        for reference in service.audit(group):
-            merged = verdicts[reference.name]
+        detector = tenants[tenant_id].entry.detector
+        for name, model in vendor_models.items():
+            if not name.startswith(prefix):
+                continue
+            reference = detector.inspect(model, seed_key=name)
+            merged = verdicts[name]
             assert merged.tenant == tenant_id
             assert abs(merged.backdoor_score - reference.backdoor_score) <= 1e-9
             assert merged.is_backdoored == reference.is_backdoored
+            assert merged.verdict == ("reject" if reference.is_backdoored else "accept")
             assert abs(merged.prompted_accuracy - reference.prompted_accuracy) <= 1e-9
             assert merged.query_count == reference.query_count
             assert merged.query_calls == reference.query_calls
@@ -148,11 +154,13 @@ def test_gateway_matches_parallel_audit_too(
         }
         tenants = gateway.tenants
         for tenant_id, prefix in (("vision-cnn", "vendor-cnn"), ("tabular-mlp", "vendor-mlp")):
-            service = AuditService(tenants[tenant_id].entry.detector)
-            group = {k: m for k, m in vendor_models.items() if k.startswith(prefix)}
-            for reference in service.audit(group):
-                assert abs(verdicts[reference.name].backdoor_score - reference.backdoor_score) <= 1e-9
-                assert verdicts[reference.name].is_backdoored == reference.is_backdoored
+            detector = tenants[tenant_id].entry.detector
+            for name, model in vendor_models.items():
+                if not name.startswith(prefix):
+                    continue
+                reference = detector.inspect(model, seed_key=name)
+                assert abs(verdicts[name].backdoor_score - reference.backdoor_score) <= 1e-9
+                assert verdicts[name].is_backdoored == reference.is_backdoored
 
 
 def test_mntd_tenant_verdicts_match_direct_scoring(warm_gateway, vendor_models, tiny_dataset):
@@ -186,6 +194,59 @@ def test_submit_and_as_completed_merge_tenant_streams(warm_gateway, vendor_model
     assert warm_gateway.in_flight == 0
 
 
+def test_serial_stream_degrades_to_ordered_loop(warm_gateway, vendor_models):
+    """On the inline one-worker pool a stream yields in submission order,
+    across tenants."""
+    submissions = [
+        (f"ordered-{name}", vendor_models[name])
+        for name in ("vendor-mlp-0", "vendor-cnn-0", "vendor-mlp-1")
+    ]
+    names = [verdict.name for verdict in warm_gateway.stream(submissions)]
+    assert names == [key for key, _ in submissions]
+
+
+def test_empty_stream(warm_gateway):
+    assert list(warm_gateway.stream([])) == []
+    assert list(warm_gateway.as_completed()) == []
+
+
+def test_duplicate_named_models_get_independent_seeds(
+    warm_gateway, micro_profile, tiny_dataset
+):
+    """Two submissions sharing a model ``.name`` must not share prompting seeds."""
+    duplicates = []
+    for rng in (700, 710):
+        model = build_classifier(
+            "mlp",
+            tiny_dataset.num_classes,
+            image_size=tiny_dataset.image_size,
+            rng=rng,
+            name="vendor-model",  # identical names, distinct weights
+        )
+        model.fit(tiny_dataset, micro_profile.classifier, rng=rng + 1)
+        duplicates.append(model)
+    detector = warm_gateway.tenants["tabular-mlp"].entry.detector
+
+    # the same physical model audited under two keys gets two different
+    # prompting seeds (name-based seeding would collapse them)
+    prompt_a = detector.prompt_suspicious(duplicates[0], seed_key="entry-a")
+    prompt_b = detector.prompt_suspicious(duplicates[0], seed_key="entry-b")
+    assert not np.array_equal(prompt_a.prompt.theta, prompt_b.prompt.theta)
+    # ... and the derivation stays deterministic per key
+    prompt_a_again = detector.prompt_suspicious(duplicates[0], seed_key="entry-a")
+    np.testing.assert_array_equal(prompt_a.prompt.theta, prompt_a_again.prompt.theta)
+
+    # the gateway threads each submission key through to the seed, so each
+    # verdict equals a standalone inspect under its key
+    submissions = [("entry-a", duplicates[0]), ("entry-b", duplicates[1])]
+    expected = {
+        key: detector.inspect(model, seed_key=key).backdoor_score
+        for key, model in submissions
+    }
+    streamed = warm_gateway.stream(submissions)
+    assert {verdict.name: verdict.backdoor_score for verdict in streamed} == expected
+
+
 def test_stats_snapshot_reports_tenants_registry_and_store(warm_gateway, vendor_models):
     stats = warm_gateway.stats()
     assert set(stats["tenants"]) == {"vision-cnn", "tabular-mlp", "baseline-mntd"}
@@ -212,6 +273,74 @@ def test_shared_budget_caps_concurrent_work(tenant_specs, tiny_dataset, tiny_tes
         assert gateway.max_in_flight == 1
     with pytest.raises(ValueError):
         AuditGateway(runtime=runtime, max_in_flight=0)
+
+
+def test_max_in_flight_comes_from_runtime_config():
+    with AuditGateway(runtime=RuntimeConfig(workers=4, max_in_flight=3)) as gateway:
+        assert gateway.max_in_flight == 3
+    with AuditGateway(runtime=RuntimeConfig(workers=4)) as gateway:
+        assert gateway.max_in_flight == 8  # 2x workers
+
+
+class _PeakQuery:
+    """Query functions that sleep and record the peak number of concurrent
+    calls; an audit's own calls are sequential, so a peak above one means
+    that many audits were running at once."""
+
+    def __init__(self) -> None:
+        self.active = 0
+        self.peak = 0
+        self.lock = threading.Lock()
+
+    def wrap(self, model):
+        def query(images):
+            with self.lock:
+                self.active += 1
+                self.peak = max(self.peak, self.active)
+            time.sleep(0.002)
+            with self.lock:
+                self.active -= 1
+            return model.predict_proba(images)
+
+        return query
+
+
+@pytest.mark.parametrize("verdict_cache", [False, True])
+@pytest.mark.parametrize("mode", ["submit", "stream"])
+def test_budget_caps_peak_concurrency(
+    mode, verdict_cache, warm_gateway, tenant_specs, tiny_dataset, tiny_test_dataset
+):
+    """Four workers but a budget of two: at most two cold audits ever run at
+    once, and every verdict still comes back."""
+    seed = 900 + 10 * (2 * verdict_cache + (mode == "stream"))
+    models = {
+        f"peak-{seed + index}": build_classifier(
+            "mlp", tiny_dataset.num_classes, image_size=tiny_dataset.image_size,
+            rng=seed + index,
+        )
+        for index in range(6)
+    }
+    probe = _PeakQuery()
+    queries = {key: probe.wrap(model) for key, model in models.items()}
+    runtime = warm_gateway.runtime.with_overrides(workers=4, verdict_cache=verdict_cache)
+    # the warm gateway's registry serves the fitted detector from memory
+    with AuditGateway(
+        registry=warm_gateway.registry, runtime=runtime, max_in_flight=2
+    ) as gateway:
+        gateway.register_tenant(
+            "tabular-mlp", tenant_specs["tabular-mlp"],
+            tiny_dataset, tiny_test_dataset, tiny_test_dataset,
+        )
+        if mode == "submit":
+            for key, model in models.items():
+                gateway.submit(key, model, query_function=queries[key])
+            verdicts = list(gateway.as_completed())
+        else:
+            verdicts = list(gateway.stream(models.items(), query_functions=queries))
+        assert gateway.stats()["worker_pool"]["tasks"] == len(models)
+    assert sorted(verdict.name for verdict in verdicts) == sorted(models)
+    assert all(verdict.cache == "cold" for verdict in verdicts)
+    assert 1 <= probe.peak <= 2, f"in-flight exceeded the budget: {probe.peak}"
 
 
 def test_duplicate_tenant_registration_is_rejected(tenant_specs, tiny_dataset, tmp_path):
@@ -275,11 +404,11 @@ def test_failed_job_is_reaped_and_other_verdicts_stay_harvestable(warm_gateway, 
     with pytest.raises(RuntimeError, match="endpoint down"):
         for verdict in warm_gateway.as_completed():
             harvested.append(verdict.name)
-    # the failed job was reaped from its tenant's retained queue ...
-    assert warm_gateway.tenants["tabular-mlp"].service._jobs == {}
-    # ... and whatever was not yielded before the error is still recoverable
+    # whatever was not yielded before the error is still recoverable ...
     remaining = [verdict.name for verdict in warm_gateway.as_completed()]
     assert sorted(harvested + remaining) == ["fine"]
+    # ... and no job handle, the failed one included, is retained
+    assert not warm_gateway._pending
     assert warm_gateway.in_flight == 0
 
 
@@ -330,9 +459,7 @@ def test_process_backend_verdicts_bit_identical_to_thread(
     ]
     results = {}
     for backend in ("thread", "process"):
-        runtime = RuntimeConfig(
-            workers=2, cache_dir=str(tmp_path), gateway_backend=backend
-        )
+        runtime = RuntimeConfig(workers=2, cache_dir=str(tmp_path), backend=backend)
         with AuditGateway(runtime=runtime) as gateway:
             gateway.register_tenant(
                 "tabular-mlp", tenant_specs["tabular-mlp"],
@@ -365,7 +492,7 @@ def test_process_backend_without_store_falls_back_to_thread():
     there is nothing to hydrate from, so the gateway must warn and degrade
     rather than refit inside workers."""
     with pytest.warns(UserWarning, match="falling back to the thread backend"):
-        gateway = AuditGateway(runtime=RuntimeConfig(gateway_backend="process"))
+        gateway = AuditGateway(runtime=RuntimeConfig(backend="process"))
     assert gateway.worker_pool.backend == "thread"
     gateway.close()
 

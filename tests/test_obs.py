@@ -376,7 +376,7 @@ def test_process_backend_telemetry_on_is_bit_identical_and_reparents(
         runtime = RuntimeConfig(
             workers=2,
             cache_dir=str(tmp_path / ("on" if telemetry else "off")),
-            gateway_backend="process",
+            backend="process",
             telemetry=telemetry,
         )
         with AuditGateway(runtime=runtime) as gateway:

@@ -1,5 +1,5 @@
 """Tests for the staged pipeline runtime: artifact store, parallel executor,
-detector persistence, warm-cache training skips and the serve-many API."""
+detector persistence and warm-cache training skips."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.models.classifier import ImageClassifier
 from repro.models.registry import build_classifier
 from repro.runtime import (
     ArtifactStore,
-    AuditService,
     ParallelExecutor,
     Stage,
     StagedPipeline,
@@ -306,18 +305,6 @@ def test_inspect_many_matches_sequential_inspect(fitted_detector, suspicious_fle
     assert [r.backdoor_score for r in batched] == [r.backdoor_score for r in sequential]
     scores = fitted_detector.score_models(suspicious_fleet)
     np.testing.assert_array_equal(scores, [r.backdoor_score for r in sequential])
-
-
-def test_audit_service_round_trip(fitted_detector, suspicious_fleet, tmp_path):
-    path = fitted_detector.save(tmp_path / "detector")
-    service = AuditService.from_saved(path, runtime=RuntimeConfig(workers=2))
-    catalogue = {model.name: model for model in suspicious_fleet}
-    report = service.audit(catalogue)
-    assert [verdict.name for verdict in report] == [m.name for m in suspicious_fleet]
-    direct = fitted_detector.inspect_many(suspicious_fleet)
-    for verdict, result in zip(report, direct):
-        assert verdict.backdoor_score == result.backdoor_score
-        assert verdict.verdict in ("accept", "reject")
 
 
 # ---------------------------------------------------------------------------

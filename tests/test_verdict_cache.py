@@ -10,6 +10,7 @@ TTL expiry in both tiers, and detector-digest bumps invalidating entries.
 
 from __future__ import annotations
 
+import copy
 import math
 import multiprocessing
 import threading
@@ -19,9 +20,9 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.models.registry import build_classifier
-from repro.runtime import AuditGateway, AuditService, ShardedArtifactStore
+from repro.runtime import AuditGateway, ShardedArtifactStore
 from repro.runtime.registry import DetectorSpec
-from repro.runtime.service import AuditVerdict
+from repro.runtime.workers import AuditVerdict
 from repro.runtime.store import ArtifactStore
 from repro.runtime.verdict_cache import (
     VERDICT_KIND,
@@ -438,20 +439,45 @@ def test_gateway_submit_serves_warm_hits_without_a_budget_slot(
     assert cached_gateway.in_flight == 0
 
 
-def test_batch_service_dedups_duplicate_uploads(cached_gateway, suspect_model):
-    """The same weights under two catalogue keys are inspected once."""
-    detector = cached_gateway.tenants["tabular-mlp"].entry.detector
-    cache = memory_cache()
-    service = AuditService(detector, verdict_cache=cache)
-    verdicts = service.audit({"upload-a": suspect_model, "upload-b": suspect_model})
-    by_name = {verdict.name: verdict for verdict in verdicts}
-    assert by_name["upload-a"].cache == "cold"
-    assert by_name["upload-b"].cache == "dedup"
-    assert by_name["upload-a"].backdoor_score == by_name["upload-b"].backdoor_score
-    stats = cache.stats()
-    assert stats["inspections"] == 1
-    assert stats["dedup_hits"] == 1 and stats["misses"] == 1
-    # a second audit of the same catalogue is served entirely warm
-    again = service.audit({"upload-a": suspect_model})
-    assert again[0].cache == "memory"
-    assert cache.stats()["inspections"] == 1
+def test_gateway_hits_and_followers_never_reach_the_pool(
+    cached_gateway, micro_profile, tiny_dataset, tiny_test_dataset
+):
+    """The same weights under two keys, then resubmitted: one inspection and
+    exactly one pool task; the other verdicts are the leader's, served as a
+    dedup follower or from a cache tier without touching the pool."""
+    upload = build_classifier(
+        "mlp", tiny_dataset.num_classes, image_size=tiny_dataset.image_size,
+        rng=800, name="upload",
+    )
+    upload.fit(tiny_dataset, micro_profile.classifier, rng=801)
+    runtime = cached_gateway.runtime.with_overrides(workers=2)
+    # the cached gateway's registry serves the fitted detector from memory;
+    # a fresh gateway starts its pool and cache counters at zero
+    with AuditGateway(registry=cached_gateway.registry, runtime=runtime) as gateway:
+        gateway.register_tenant(
+            "tabular-mlp",
+            DetectorSpec(defense="bprom", profile=micro_profile, architecture="mlp", seed=0),
+            tiny_dataset,
+            tiny_test_dataset,
+            tiny_test_dataset,
+        )
+        for key in ("upload-a", "upload-b"):
+            gateway.submit(key, copy.deepcopy(upload))
+        verdicts = list(gateway.as_completed())
+        gateway.submit("upload-a-again", copy.deepcopy(upload))
+        verdicts += list(gateway.as_completed())
+        stats = gateway.stats()
+    assert stats["verdict_cache"]["inspections"] == 1
+    assert stats["worker_pool"]["tasks"] == 1
+    [leader] = [verdict for verdict in verdicts if verdict.cache == "cold"]
+    others = [verdict for verdict in verdicts if verdict is not leader]
+    assert sorted(verdict.name for verdict in verdicts) == [
+        "upload-a", "upload-a-again", "upload-b"
+    ]
+    for verdict in others:
+        assert verdict.cache in ("dedup", "memory", "store")
+        assert verdict.backdoor_score == leader.backdoor_score
+        assert verdict.is_backdoored == leader.is_backdoored
+        assert verdict.prompted_accuracy == leader.prompted_accuracy
+        assert verdict.query_count == leader.query_count
+        assert verdict.query_calls == leader.query_calls

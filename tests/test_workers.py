@@ -40,12 +40,12 @@ def test_executor_map_results_identical_across_backends():
         assert executor.map(_seeded_draw, items) == expected, backend
 
 
-def test_executor_session_results_identical_across_backends():
+def test_pool_submit_results_identical_across_backends():
     items = [(index, 321) for index in range(6)]
     expected = [_seeded_draw(item) for item in items]
     for backend in BACKENDS:
-        with ParallelExecutor(workers=2, backend=backend).session() as session:
-            futures = [session.submit(_seeded_draw, item) for item in items]
+        with WorkerPool(workers=2, backend=backend) as pool:
+            futures = [pool.submit(_seeded_draw, item) for item in items]
             assert [future.result() for future in futures] == expected, backend
 
 
@@ -53,22 +53,28 @@ def test_executor_session_results_identical_across_backends():
 # WorkerPool lifecycle
 # ---------------------------------------------------------------------------
 
+def _explode(_item):
+    raise ValueError("task failed")
+
+
 def test_non_parallel_pool_runs_inline():
     with WorkerPool(workers=1, backend="thread") as pool:
         assert not pool.parallel and not pool.started
-        session = pool.session()
-        assert not session.parallel  # poolless: submits resolve synchronously
-        future = session.submit(_seeded_draw, (0, 7))
+        future = pool.submit(_seeded_draw, (0, 7))
         assert future.done() and future.result() == _seeded_draw((0, 7))
         assert pool.started
+        # a task exception lands on the future, as on a real pool
+        failed = pool.submit(_explode, None)
+        assert failed.done()
+        with pytest.raises(ValueError, match="task failed"):
+            failed.result()
+        assert pool.stats()["tasks"] == 2
 
 
-def test_parallel_pool_shares_one_session_and_counts_tasks():
+def test_parallel_pool_counts_tasks():
     with WorkerPool(workers=2, backend="thread") as pool:
         assert pool.parallel
-        session = pool.session()
-        assert session is pool.session()  # every tenant shares the one session
-        futures = [session.submit(_seeded_draw, (index, 9)) for index in range(4)]
+        futures = [pool.submit(_seeded_draw, (index, 9)) for index in range(4)]
         assert [f.result() for f in futures] == [_seeded_draw((i, 9)) for i in range(4)]
         stats = pool.stats()
         assert stats == {"backend": "thread", "workers": 2, "started": True, "tasks": 4}
@@ -76,18 +82,17 @@ def test_parallel_pool_shares_one_session_and_counts_tasks():
 
 def test_process_pool_runs_module_level_tasks():
     with WorkerPool(workers=2, backend="process") as pool:
-        session = pool.session()
-        futures = [session.submit(_seeded_draw, (index, 11)) for index in range(3)]
+        futures = [pool.submit(_seeded_draw, (index, 11)) for index in range(3)]
         assert [f.result() for f in futures] == [_seeded_draw((i, 11)) for i in range(3)]
 
 
 def test_pool_close_is_idempotent_and_final():
     pool = WorkerPool(workers=2, backend="thread")
-    pool.session()
+    pool.submit(_seeded_draw, (0, 1)).result()
     pool.close()
     pool.close()  # idempotent
     with pytest.raises(RuntimeError, match="closed"):
-        pool.session()
+        pool.submit(_seeded_draw, (0, 1))
 
 
 def test_pool_rejects_bad_config():
@@ -99,11 +104,8 @@ def test_pool_rejects_bad_config():
 
 def test_pool_from_config():
     assert WorkerPool.from_config(None).stats()["backend"] == "thread"
-    runtime = RuntimeConfig(workers=3, gateway_backend="process")
-    pool = WorkerPool.from_config(runtime)
-    assert pool.backend == "process" and pool.workers == 3  # falls back to workers
-    pool = WorkerPool.from_config(runtime.with_overrides(gateway_workers=5))
-    assert pool.workers == 5  # gateway_workers wins when set
+    pool = WorkerPool.from_config(RuntimeConfig(workers=3, backend="process"))
+    assert pool.backend == "process" and pool.workers == 3
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +133,7 @@ def test_resolve_detector_hydrates_once_and_scores_bit_identically(
 ):
     entry, ref = hydration_setup
     _HYDRATED.clear()
+    assert resolve_detector(entry.detector) is entry.detector  # passes through
     hydrated = resolve_detector(ref)
     assert hydrated is not entry.detector  # a fresh load, not the fitted object
     assert resolve_detector(ref) is hydrated  # per-process cache serves repeats
