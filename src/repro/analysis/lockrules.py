@@ -170,8 +170,9 @@ class PoolTaskUnpicklable(Rule):
     id = "L201"
     name = "pool-task-unpicklable"
     summary = (
-        "tasks handed to pool submit()/map() must be module-level callables; "
-        "closures, lambdas and bound methods break the process backend"
+        "tasks handed to pool submit()/map() and worker initializer= "
+        "callables must be module-level; closures, lambdas and bound methods "
+        "break the process backend"
     )
 
     @staticmethod
@@ -202,51 +203,60 @@ class PoolTaskUnpicklable(Rule):
                         names.add(node.name)
         return names
 
+    @staticmethod
+    def _pool_callables(call: ast.Call) -> Iterator[ast.expr]:
+        """The callables a pool pickles by qualified name: the task handed
+        to ``submit``/``map`` and a worker ``initializer=``."""
+        if isinstance(call.func, ast.Attribute) and call.func.attr in ("submit", "map"):
+            if call.args:
+                yield call.args[0]
+        for keyword in call.keywords:
+            if keyword.arg == "initializer":
+                yield keyword.value
+
     def check(self, module: LintModule) -> Iterable[Finding]:
         if not _in_runtime(module):
             return
         for call in ast.walk(module.tree):
-            if not (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr in ("submit", "map")
-            ):
+            if not isinstance(call, ast.Call):
                 continue
-            if not call.args:
-                continue
-            task = call.args[0]
-            if isinstance(task, ast.Starred):
-                # `submit(*self._task(...))` — the tuple builder is the
-                # audited seam; nothing to resolve statically here
-                continue
-            if isinstance(task, ast.Lambda):
+            for task in self._pool_callables(call):
+                yield from self._check_task(module, call, task)
+
+    def _check_task(
+        self, module: LintModule, call: ast.Call, task: ast.expr
+    ) -> Iterable[Finding]:
+        if isinstance(task, ast.Starred):
+            # `submit(*self._task(...))` — the tuple builder is the
+            # audited seam; nothing to resolve statically here
+            return
+        if isinstance(task, ast.Lambda):
+            yield module.finding(
+                self,
+                task,
+                "lambda handed to a pool cannot be pickled by the "
+                "process backend; hoist it to a module-level function",
+            )
+            return
+        if isinstance(task, ast.Name):
+            if task.id in self._nested_callable_names(module, call):
                 yield module.finding(
                     self,
                     task,
-                    "lambda submitted to a pool cannot be pickled by the "
-                    "process backend; hoist it to a module-level function",
+                    f"`{task.id}` is a closure/lambda local to this "
+                    "function; process pools pickle tasks by qualified "
+                    "name — hoist it to module level",
                 )
-                continue
-            if isinstance(task, ast.Name):
-                if task.id in self._nested_callable_names(module, call):
-                    yield module.finding(
-                        self,
-                        task,
-                        f"`{task.id}` is a closure/lambda local to this "
-                        "function; process pools pickle tasks by qualified "
-                        "name — hoist it to module level",
-                    )
-                continue
-            if isinstance(task, ast.Attribute):
-                if module.canonical(task) is None:
-                    yield module.finding(
-                        self,
-                        task,
-                        f"`{ast.unparse(task)}` looks like a bound method; "
-                        "the process backend pickles the whole receiver (or "
-                        "fails outright) — submit a module-level function "
-                        "taking the object as an argument",
-                    )
+            return
+        if isinstance(task, ast.Attribute) and module.canonical(task) is None:
+            yield module.finding(
+                self,
+                task,
+                f"`{ast.unparse(task)}` looks like a bound method; "
+                "the process backend pickles the whole receiver (or "
+                "fails outright) — pass a module-level function "
+                "taking the object as an argument",
+            )
 
 
 def _is_broad(handler: ast.ExceptHandler) -> bool:

@@ -279,7 +279,9 @@ class RuntimeConfig:
 
     #: number of concurrent workers for the embarrassingly-parallel stages
     #: and for an :class:`~repro.runtime.gateway.AuditGateway`'s shared
-    #: worker pool; 1 means fully sequential execution
+    #: worker pool; 1 means fully sequential execution.  It also sizes BLAS:
+    #: while a pool runs, OpenBLAS gets ``max(1, cores // workers)`` threads
+    #: per worker, never more than it had (see :func:`~repro.runtime.executor.open_pool`)
     workers: int = 1
     #: "thread" (shares memory, relies on numpy releasing the GIL),
     #: "process" (true parallelism, pays pickling overhead; a gateway's

@@ -6,17 +6,168 @@ seed and a stable task identity (see :func:`repro.utils.rng.derive_seed`), so
 the results are identical whether tasks run sequentially, on a thread pool or
 on a process pool — only wall-clock time changes.  Results are always returned
 in submission order.
+
+Every worker pool in the runtime is built by :func:`open_pool` and shut down
+by :func:`close_pool`.  Besides the executor, they size OpenBLAS: ``workers``
+pool workers each running a multi-threaded BLAS call would oversubscribe the
+cores, so while a pool runs, BLAS gets ``max(1, cores // workers)`` threads —
+never more than it had.  A thread pool caps the process-wide count until it
+closes; a process pool caps each of its workers at start-up.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+import ctypes
+import os
+import threading
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.config import RuntimeConfig
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: OpenBLAS builds export one of these get/set pairs; the first that resolves
+#: is used (numpy 2.x wheels ship the ``scipy_openblas`` build)
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+BlasFunctions = Tuple[Callable[[], int], Callable[[int], None]]
+
+
+def _find_openblas() -> Optional[BlasFunctions]:
+    """The loaded OpenBLAS's thread-count getter and setter, if any.
+
+    ``None`` when no OpenBLAS is mapped into the process (another BLAS
+    vendor) or ``/proc`` is unavailable.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            getter = getattr(library, get_name, None)
+            setter = getattr(library, set_name, None)
+            if getter is None or setter is None:
+                continue
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            return getter, setter
+    return None
+
+
+def blas_threads_per_worker(workers: int) -> int:
+    """The OpenBLAS thread count that keeps ``workers`` pool workers within
+    the cores this process may run on."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // workers)
+
+
+class _BlasThreads:
+    """The one owner of the process-wide OpenBLAS thread count.
+
+    Counts live thread pools: the first to open saves the current count,
+    each applies ``min(current, target)`` so a pool never raises the count,
+    and the last to close restores the saved one — so pools that overlap
+    and close out of order still leave the process as they found it.
+    OpenBLAS is looked up when the first pool opens, never at import.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._looked_up = False
+        self._functions: Optional[BlasFunctions] = None
+        self._live = 0
+        self._saved = 0
+
+    def _openblas(self) -> Optional[BlasFunctions]:
+        if not self._looked_up:
+            self._functions = _find_openblas()
+            self._looked_up = True
+        return self._functions
+
+    def acquire(self, threads: int) -> None:
+        """Cap the count at ``threads`` until the matching :meth:`release`."""
+        with self._lock:
+            functions = self._openblas()
+            if functions is None:
+                return
+            getter, setter = functions
+            current = getter()
+            if self._live == 0:
+                self._saved = current
+            self._live += 1
+            setter(min(current, threads))
+
+    def release(self) -> None:
+        with self._lock:
+            if self._functions is None:
+                return
+            self._live -= 1
+            if self._live == 0:
+                _, setter = self._functions
+                setter(self._saved)
+
+    def after_fork(self) -> None:
+        # a forked child inherits no threads, hence no live thread pools —
+        # and maybe a lock that a parent thread held at fork time
+        self._lock = threading.Lock()
+        self._live = 0
+
+
+_BLAS_THREADS = _BlasThreads()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_BLAS_THREADS.after_fork)
+
+
+def _cap_blas_threads(threads: int) -> None:
+    """Process-pool initializer: cap this worker's OpenBLAS at ``threads``
+    for the worker's lifetime.
+
+    Module-level so spawn and forkserver workers unpickle it by qualified
+    name (repro-lint L201).
+    """
+    _BLAS_THREADS.acquire(threads)
+
+
+def open_pool(workers: int, backend: str) -> Executor:
+    """A ``workers``-wide ``"thread"`` or ``"process"`` pool with OpenBLAS
+    capped at :func:`blas_threads_per_worker` threads while it runs.
+
+    The only place the runtime builds an executor; pair every call with
+    :func:`close_pool`, which also lifts a thread pool's cap.
+    """
+    threads = blas_threads_per_worker(workers)
+    if backend == "process":
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_cap_blas_threads, initargs=(threads,)
+        )
+    pool = ThreadPoolExecutor(max_workers=workers)
+    _BLAS_THREADS.acquire(threads)
+    return pool
+
+
+def close_pool(pool: Executor) -> None:
+    """Drain and shut down a pool from :func:`open_pool`, then release its
+    BLAS cap (process workers took theirs with them)."""
+    pool.shutdown(wait=True)
+    if isinstance(pool, ThreadPoolExecutor):
+        _BLAS_THREADS.release()
 
 
 class ParallelExecutor:
@@ -53,9 +204,11 @@ class ParallelExecutor:
         items = list(items)
         if not self.parallel or len(items) <= 1:
             return [fn(item) for item in items]
-        pool_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=min(self.workers, len(items))) as pool:
+        pool = open_pool(min(self.workers, len(items)), self.backend)
+        try:
             return list(pool.map(fn, items))
+        finally:
+            close_pool(pool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelExecutor(workers={self.workers}, backend={self.backend!r})"

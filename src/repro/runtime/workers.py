@@ -31,7 +31,7 @@ bit-identical to the thread/serial backends.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -42,6 +42,7 @@ from repro.obs.clock import now
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.trace import TraceContext, collect, get_tracer, relative_to
 from repro.prompting.blackbox import QueryFunction
+from repro.runtime.executor import close_pool, open_pool
 from repro.runtime.registry import DETECTOR_KIND, DetectorSpec, load_detector_artifact
 from repro.runtime.store import MISS, ArtifactStore
 
@@ -214,7 +215,9 @@ class WorkerPool:
     machine's parallelism is one dial (``workers``) rather than per-tenant
     pools multiplying.  ``backend="process"`` requires that submitted tasks be
     module-level callables with picklable arguments — process tenants submit
-    :class:`DetectorRef`-based tasks for exactly this reason.
+    :class:`DetectorRef`-based tasks for exactly this reason.  The executor
+    comes from :func:`~repro.runtime.executor.open_pool`, so OpenBLAS is
+    capped at ``cores // workers`` threads per worker until :meth:`close`.
 
     Thread-safe: concurrent first submits race on one lock, so exactly one
     executor is ever created.
@@ -236,12 +239,6 @@ class WorkerPool:
         self._closed = False
         self.metrics = MetricsRegistry()
         self.tasks = 0
-
-    @classmethod
-    def from_config(cls, runtime: Optional[RuntimeConfig]) -> "WorkerPool":
-        if runtime is None:
-            return cls(1, "thread")
-        return cls(workers=runtime.workers, backend=runtime.backend)
 
     @property
     def parallel(self) -> bool:
@@ -266,8 +263,7 @@ class WorkerPool:
                 raise RuntimeError("worker pool is closed")
             self.tasks += 1
             if self.parallel and self._pool is None:
-                pool_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-                self._pool = pool_cls(max_workers=self.workers)
+                self._pool = open_pool(self.workers, self.backend)
             pool = self._pool
         if pool is not None:
             return pool.submit(fn, *args)
@@ -297,7 +293,7 @@ class WorkerPool:
             self._closed = True
             pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=True)
+            close_pool(pool)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -613,6 +613,43 @@ class TestL201PoolTaskUnpicklable:
             relpath=RUNTIME_PATH,
         )
 
+    def test_fires_on_unpicklable_initializer(self):
+        # closure, lambda and bound method: one finding each
+        ids = rule_ids(
+            """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def open_pool(workers, blas):
+                def cap():
+                    blas.set_threads(1)
+                return [
+                    ProcessPoolExecutor(workers, initializer=cap),
+                    ProcessPoolExecutor(workers, initializer=lambda: blas.set_threads(1)),
+                    ProcessPoolExecutor(workers, initializer=blas.set_threads, initargs=(1,)),
+                ]
+            """,
+            RUNTIME_PATH,
+            select=["L201"],
+        )
+        assert ids == ["L201"] * 3, ids
+
+    def test_quiet_on_module_level_initializer(self):
+        assert_quiet(
+            "L201",
+            """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def _cap_blas_threads(threads):
+                return threads
+
+            def open_pool(workers):
+                return ProcessPoolExecutor(
+                    workers, initializer=_cap_blas_threads, initargs=(1,)
+                )
+            """,
+            relpath=RUNTIME_PATH,
+        )
+
     def test_quiet_outside_runtime(self):
         assert_quiet("L201", """
             def dispatch(session, model):

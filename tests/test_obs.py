@@ -288,7 +288,8 @@ def test_export_metrics_writes_snapshot(tmp_path):
     path = export_metrics(registry.snapshot(), str(tmp_path / "metrics.json"))
     import json
 
-    payload = json.loads(open(path).read())
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
     assert payload["snapshot"]["counters"] == {"n": 5}
 
 

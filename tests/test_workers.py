@@ -1,5 +1,6 @@
 """Tests for the tenant worker-pool layer: executor parity across backends,
-:class:`WorkerPool` lifecycle, and :class:`DetectorRef` hydration.
+:class:`WorkerPool` lifecycle, the BLAS thread cap every pool holds while it
+runs, and :class:`DetectorRef` hydration.
 
 The process backend's whole contract is that it is *invisible* to results:
 per-task seeds derive from stable task identities, detectors hydrate from the
@@ -8,11 +9,18 @@ store bit-identically, and the only observable difference is wall-clock time.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
-from repro.runtime import DetectorRegistry, ParallelExecutor
+from repro.core import BpromDetector
+from repro.models.registry import build_classifier
+from repro.runtime import DetectorRegistry, ParallelExecutor, executor
 from repro.runtime.registry import DetectorSpec
 from repro.runtime.workers import _HYDRATED, DetectorRef, WorkerPool, resolve_detector
 from repro.utils.rng import derive_seed
@@ -102,10 +110,155 @@ def test_pool_rejects_bad_config():
         WorkerPool(backend="gpu")
 
 
-def test_pool_from_config():
-    assert WorkerPool.from_config(None).stats()["backend"] == "thread"
-    pool = WorkerPool.from_config(RuntimeConfig(workers=3, backend="process"))
-    assert pool.backend == "process" and pool.workers == 3
+# ---------------------------------------------------------------------------
+# BLAS thread cap
+# ---------------------------------------------------------------------------
+
+_OPENBLAS = executor._find_openblas()
+#: the OpenBLAS thread count a 2-worker pool runs with
+CAP = executor.blas_threads_per_worker(2)
+
+
+def _blas_threads(_item=None):
+    """Module-level so process workers can run it: the OpenBLAS thread count
+    where the task runs."""
+    return _OPENBLAS[0]()
+
+
+@pytest.fixture()
+def openblas():
+    """The loaded OpenBLAS's (getter, setter); its thread count is restored
+    after the test."""
+    if _OPENBLAS is None:
+        pytest.skip("no OpenBLAS loaded")
+    getter, setter = _OPENBLAS
+    saved = getter()
+    yield getter, setter
+    setter(saved)
+
+
+@pytest.fixture()
+def blas_threads(openblas):
+    """A known OpenBLAS thread count above the 2-worker cap, on any runner."""
+    getter, setter = openblas
+    setter(2 * CAP)
+    return getter()
+
+
+@pytest.fixture(scope="module")
+def uploads(micro_profile, tiny_dataset, tiny_test_dataset):
+    """A fitted micro-profile detector and one upload per architecture."""
+    pairs = {}
+    for index, architecture in enumerate(("mlp", "resnet18")):
+        detector = BpromDetector(profile=micro_profile, architecture=architecture, seed=0)
+        detector.fit(tiny_dataset, tiny_dataset, tiny_test_dataset)
+        upload = build_classifier(
+            architecture,
+            tiny_dataset.num_classes,
+            image_size=tiny_dataset.image_size,
+            rng=700 + index,
+            name=f"upload-{architecture}",
+        )
+        upload.fit(tiny_dataset, micro_profile.classifier, rng=800 + index)
+        pairs[architecture] = (detector, upload)
+    return pairs
+
+
+def test_verdicts_do_not_depend_on_blas_threads(openblas, uploads):
+    """What lets pools resize BLAS without breaking float64 bit-identity."""
+    _, setter = openblas
+    results = {}
+    for threads in (1, 2):
+        setter(threads)
+        results[threads] = {
+            architecture: detector.inspect(upload, seed_key=architecture)
+            for architecture, (detector, upload) in uploads.items()
+        }
+    for architecture in uploads:
+        one, two = results[1][architecture], results[2][architecture]
+        assert one.backdoor_score == two.backdoor_score, architecture
+        assert one.is_backdoored == two.is_backdoored, architecture
+        assert one.query_count == two.query_count, architecture
+
+
+def test_thread_pool_caps_blas_threads_until_close(blas_threads):
+    pool = WorkerPool(workers=2, backend="thread")
+    assert pool.submit(_blas_threads).result() == min(blas_threads, CAP)
+    pool.close()
+    assert _blas_threads() == blas_threads
+
+
+def test_executor_map_restores_blas_threads_when_a_task_raises(blas_threads):
+    with pytest.raises(ValueError, match="task failed"):
+        ParallelExecutor(2, "thread").map(_explode, [0, 1])
+    assert _blas_threads() == blas_threads
+
+
+def test_process_pool_caps_its_workers_not_the_parent(blas_threads):
+    with WorkerPool(workers=2, backend="process") as pool:
+        assert pool.submit(_blas_threads).result() == min(blas_threads, CAP)
+        assert _blas_threads() == blas_threads
+    assert _blas_threads() == blas_threads
+
+
+def test_overlapping_thread_pools_closed_out_of_order(blas_threads):
+    first = WorkerPool(workers=2, backend="thread")
+    second = WorkerPool(workers=2, backend="thread")
+    first.submit(_blas_threads).result()
+    second.submit(_blas_threads).result()
+    first.close()
+    assert _blas_threads() == min(blas_threads, CAP)  # second is still open
+    second.close()
+    assert _blas_threads() == blas_threads
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pools_run_without_openblas(monkeypatch, backend):
+    monkeypatch.setattr(executor, "_find_openblas", lambda: None)
+    monkeypatch.setattr(executor, "_BLAS_THREADS", executor._BlasThreads())
+    before = _OPENBLAS[0]() if _OPENBLAS is not None else None
+    items = [(index, 5) for index in range(4)]
+    expected = [_seeded_draw(item) for item in items]
+    assert ParallelExecutor(2, backend).map(_seeded_draw, items) == expected
+    with WorkerPool(workers=2, backend=backend) as pool:
+        assert [pool.submit(_seeded_draw, item).result() for item in items] == expected
+        if before is not None:  # a pool that found no OpenBLAS touches nothing
+            assert pool.submit(_blas_threads).result() == before
+
+
+def test_racing_thread_pools_leave_the_original_count(blas_threads):
+    """More threads than cores churn 2-worker pools under a short switch
+    interval: every task sees the cap, and the last close restores the
+    original count however the pools interleave."""
+    reads, errors = [], []
+    deadline = time.monotonic() + 1.0
+
+    def churn() -> None:
+        try:
+            for _ in range(500):
+                if time.monotonic() > deadline:
+                    return
+                with WorkerPool(workers=2, backend="thread") as pool:
+                    reads.append(pool.submit(_blas_threads).result())
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=churn) for _ in range(len(os.sched_getaffinity(0)) + 2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert reads and set(reads) == {min(blas_threads, CAP)}
+    assert _blas_threads() == blas_threads
 
 
 # ---------------------------------------------------------------------------
