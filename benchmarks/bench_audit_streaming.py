@@ -51,7 +51,6 @@ def main() -> None:
     runtime = RuntimeConfig(
         workers=args.workers,
         backend=args.backend,
-        max_in_flight=args.max_in_flight,
         cache_dir=scratch.name,
     )
     train, test = load_dataset("cifar10", profile, seed=args.seed)
@@ -90,7 +89,7 @@ def main() -> None:
     print("streaming path (one-tenant AuditGateway.stream):")
     streamed = []
     first_verdict_s = None
-    with AuditGateway(registry=registry) as gateway:
+    with AuditGateway(registry=registry, max_in_flight=args.max_in_flight) as gateway:
         gateway.register_tenant("vendor", spec, test, target_train, target_test)
         start = time.perf_counter()
         for verdict in gateway.stream(catalogue.items()):

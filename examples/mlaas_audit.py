@@ -35,7 +35,7 @@ for the whole fleet:
   it through the registry's single-flight lock — exactly once, fleet-wide;
 * ``gateway.stats()`` closes the loop: per-tenant verdict counts, query
   budgets, cache hit-rate, amortised queries-per-verdict, worker-pool task
-  counters, registry hit/miss/evict counters and store statistics in one
+  counters, registry hit/fit counters and store statistics in one
   snapshot;
 * ``telemetry=True`` traces every submission end to end — worker-side
   inspection spans ship back across the process-pool boundary — and the

@@ -41,13 +41,9 @@ _WALL_CLOCK = {
     "datetime.date.today",
 }
 
-#: modules whose job *is* wall-clock arithmetic (lock staleness, GC grace,
-#: verdict TTLs)
+#: modules whose job *is* wall-clock arithmetic (lock staleness)
 _WALL_CLOCK_ALLOWLIST = (
     "repro/runtime/locks.py",
-    "repro/runtime/sharding.py",
-    "repro/runtime/store.py",
-    "repro/runtime/verdict_cache.py",
     # the telemetry exporter stamps `exported_at` on trace files; everything
     # else in repro/obs is monotonic-only
     "repro/obs/export.py",
@@ -144,8 +140,8 @@ class WallClockInComputation(Rule):
     id = "D104"
     name = "wall-clock-in-computation"
     summary = (
-        "wall-clock reads outside the lock/GC allowlist leak the current time "
-        "into computation or artifacts"
+        "wall-clock reads outside the lock/trace-export allowlist leak the "
+        "current time into computation or artifacts"
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
@@ -158,10 +154,8 @@ class WallClockInComputation(Rule):
                     self,
                     call,
                     f"`{dotted}` feeds the current time into this module; only "
-                    "runtime/locks.py, runtime/sharding.py, runtime/store.py, "
-                    "runtime/verdict_cache.py and obs/export.py may do "
-                    "wall-clock arithmetic (use `time.perf_counter` for "
-                    "durations)",
+                    "runtime/locks.py and obs/export.py may do wall-clock "
+                    "arithmetic (use `time.perf_counter` for durations)",
                 )
 
 

@@ -3,10 +3,11 @@
 The cross-process single-flight protocol (PR 5) only works if every
 :class:`~repro.runtime.locks.AdvisoryLock` is released on *every* exit path
 and every lock file lives under the store's ``.locks/`` directory, where
-maintenance and stats sweeps know to skip it.  Separately, ``runtime/`` code
-that swallows broad exceptions can turn a real fault (a loader bug, a
-corrupted artifact) into silent cache-miss behaviour; broad handlers must
-propagate — re-raise, stash for a deferred raise, or surface via a future.
+every process sharing the store finds it and no reader mistakes it for an
+artifact.  Separately, ``runtime/`` code that swallows broad exceptions can
+turn a real fault (a loader bug, a corrupted artifact) into silent
+cache-miss behaviour; broad handlers must propagate — re-raise, stash for a
+deferred raise, or surface via a future.
 
 The pool-dispatch layer (PR 9) adds a picklability invariant: process
 backends serialise submitted tasks by qualified name, so a closure, lambda
@@ -125,7 +126,7 @@ class LockPathOutsideLocksDir(Rule):
     name = "lock-path-outside-locks"
     summary = (
         "lock files must live under the store's .locks/ directory (or come "
-        "from store.lock_path), where maintenance sweeps know to skip them"
+        "from store.lock_path), where no reader mistakes them for artifacts"
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
@@ -141,7 +142,7 @@ class LockPathOutsideLocksDir(Rule):
             saw_literal_fragment = False
             for sub in ast.walk(path_arg):
                 if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-                    if sub.func.attr in ("lock_path", "maintenance_lock"):
+                    if sub.func.attr == "lock_path":
                         sanctioned = True
                 terminal = (
                     sub.attr
@@ -161,7 +162,7 @@ class LockPathOutsideLocksDir(Rule):
                     node,
                     "lock path is built outside `.locks/`; use "
                     "`store.lock_path(...)` or a `LOCKS_DIRNAME` component so "
-                    "stats/GC sweeps never mistake it for an artifact",
+                    "no reader mistakes it for an artifact",
                 )
 
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -223,17 +222,6 @@ def _env_int(name: str, default: Optional[int]) -> Optional[int]:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
-    """A float environment variable; unset/empty yields ``default``."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from exc
-
-
 _RUNTIME_BACKENDS = ("serial", "thread", "process")
 #: accepted values for RuntimeConfig.shadow_training / REPRO_SHADOW_TRAINING
 #: (single source of truth, shared with ShadowModelFactory)
@@ -291,17 +279,6 @@ class RuntimeConfig:
     #: root directory of the persistent artifact store; ``None`` disables
     #: disk caching entirely
     cache_dir: Optional[str] = None
-    #: master switch for the artifact store (lets callers keep a cache_dir
-    #: configured but bypass it, e.g. to force retraining)
-    cache: bool = True
-    #: shard roots for a federated :class:`~repro.runtime.sharding.ShardedArtifactStore`;
-    #: supersedes ``cache_dir`` when non-empty (writes go to each key's home
-    #: shard, reads fall through across every shard)
-    shard_dirs: Optional[Tuple[str, ...]] = None
-    #: cap on concurrently in-flight cold audits across *all* tenants of an
-    #: :class:`~repro.runtime.gateway.AuditGateway`; ``None`` derives
-    #: 2x ``workers`` at gateway construction
-    max_in_flight: Optional[int] = None
     #: how shadow pools are trained: "stacked" runs K same-architecture
     #: shadows as one model-axis computation (:mod:`repro.nn.stacked`),
     #: "sequential" trains them one by one, and "auto" defers to the
@@ -310,22 +287,6 @@ class RuntimeConfig:
     #: CNN/MLP pools sequential).  Both modes produce the same pool, so
     #: artifact-store keys do not depend on this.
     shadow_training: str = "auto"
-    #: byte budget for the :class:`~repro.runtime.registry.DetectorRegistry`'s
-    #: in-memory LRU of loaded detectors; ``None`` means unbounded (the most
-    #: recently used detector is always retained even when over budget)
-    registry_lru_bytes: Optional[int] = None
-    #: how long a registry ``get_or_fit`` waits on another process's
-    #: single-flight fit lock before giving up
-    registry_lock_wait: float = 600.0
-    #: age after which a registry fit lock is presumed abandoned (crashed
-    #: fitter) and taken over; keep well above the longest expected fit
-    registry_lock_stale: float = 3600.0
-    #: disk byte budget for ``fitted-detector`` artifacts in the store; when
-    #: set, a registry that just fitted a detector opportunistically evicts
-    #: the least-recently-used detectors down to this budget (under the
-    #: store's maintenance advisory lock, so multiple gateway nodes over one
-    #: sharded store can each run GC safely); ``None`` disables detector GC
-    detector_gc_bytes: Optional[int] = None
     #: training dtype tier for shadow pools and detectors ("float64" |
     #: "float32"); every artifact-store key derived from a non-default tier
     #: carries the precision, so the tiers never share cache entries
@@ -335,22 +296,11 @@ class RuntimeConfig:
     #: off by default — a warm entry silently skips re-inspection, which
     #: callers probing per-submission behaviour must opt in to
     verdict_cache: bool = False
-    #: byte budget for the verdict cache's in-memory weighted-LRU tier;
-    #: ``None`` means unbounded (the just-inserted entry is always retained)
-    verdict_cache_bytes: Optional[int] = None
-    #: age in seconds after which a cached verdict is stale and re-audited;
-    #: ``None`` means verdicts never expire (detector refits still
-    #: invalidate, because the refit changes the detector digest in the key)
-    verdict_cache_ttl: Optional[float] = None
     #: enable span tracing and the telemetry sub-dashboard in
     #: ``gateway.stats()``; off by default — the disabled tracer is a shared
     #: no-op, so instrumented paths pay one branch, and turning it on never
     #: perturbs verdict bit-identity (ids come from a counter, not RNG)
     telemetry: bool = False
-    #: directory benches and examples write their trace JSONL / metrics
-    #: snapshot artifacts into; ``None`` means next to the bench's own
-    #: ``BENCH_*.json`` output
-    telemetry_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -365,55 +315,15 @@ class RuntimeConfig:
                 f"unknown shadow_training {self.shadow_training!r}; "
                 f"available: {SHADOW_TRAINING_MODES}"
             )
-        if self.shard_dirs is not None:
-            # accept a single path or any sequence of paths, store a hashable
-            # tuple; without the guard a bare string would explode into
-            # per-character "roots"
-            dirs = (
-                (self.shard_dirs,)
-                if isinstance(self.shard_dirs, (str, Path))
-                else self.shard_dirs
-            )
-            object.__setattr__(self, "shard_dirs", tuple(str(d) for d in dirs))
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        if self.registry_lru_bytes is not None and self.registry_lru_bytes < 0:
-            raise ValueError(
-                f"registry_lru_bytes must be >= 0, got {self.registry_lru_bytes}"
-            )
-        if self.registry_lock_wait < 0:
-            raise ValueError(
-                f"registry_lock_wait must be >= 0, got {self.registry_lock_wait}"
-            )
-        if self.registry_lock_stale <= 0:
-            raise ValueError(
-                f"registry_lock_stale must be positive, got {self.registry_lock_stale}"
-            )
-        if self.detector_gc_bytes is not None and self.detector_gc_bytes < 0:
-            raise ValueError(
-                f"detector_gc_bytes must be >= 0, got {self.detector_gc_bytes}"
-            )
         object.__setattr__(self, "precision", str(self.precision).lower())
         if self.precision not in PRECISIONS:
             raise ValueError(
                 f"precision must be one of {PRECISIONS}, got {self.precision!r}"
             )
-        if self.verdict_cache_bytes is not None and self.verdict_cache_bytes < 0:
-            raise ValueError(
-                f"verdict_cache_bytes must be >= 0, got {self.verdict_cache_bytes}"
-            )
-        if self.verdict_cache_ttl is not None and self.verdict_cache_ttl <= 0:
-            raise ValueError(
-                f"verdict_cache_ttl must be positive, got {self.verdict_cache_ttl}"
-            )
 
     @property
     def parallel(self) -> bool:
         return self.workers > 1 and self.backend != "serial"
-
-    @property
-    def persistent(self) -> bool:
-        return self.cache and (self.cache_dir is not None or bool(self.shard_dirs))
 
     def with_overrides(self, **kwargs) -> "RuntimeConfig":
         return replace(self, **kwargs)
@@ -422,42 +332,21 @@ class RuntimeConfig:
     def from_env(cls) -> "RuntimeConfig":
         """Build a runtime config from the ``REPRO_*`` environment variables
         (benchmark/CI convenience): ``REPRO_WORKERS``, ``REPRO_BACKEND``,
-        ``REPRO_CACHE_DIR``, ``REPRO_CACHE``, ``REPRO_SHARD_DIRS``,
-        ``REPRO_MAX_IN_FLIGHT``, ``REPRO_SHADOW_TRAINING``,
-        ``REPRO_REGISTRY_LRU_BYTES``, ``REPRO_REGISTRY_LOCK_WAIT``,
-        ``REPRO_REGISTRY_LOCK_STALE``, ``REPRO_DETECTOR_GC_BYTES``,
-        ``REPRO_PRECISION``,
-        ``REPRO_VERDICT_CACHE``, ``REPRO_VERDICT_CACHE_BYTES``,
-        ``REPRO_VERDICT_CACHE_TTL``, ``REPRO_TELEMETRY`` and
-        ``REPRO_TELEMETRY_DIR``.
-        ``REPRO_SHARD_DIRS`` is a list of shard roots separated by
-        ``os.pathsep`` (``:`` on POSIX).  ``REPRO_VERDICT_CACHE=1`` turns
-        verdict memoisation on (any other value leaves it off).
-        ``REPRO_TELEMETRY=1`` turns span tracing on the same way.  A malformed
-        numeric value raises a :class:`ValueError` naming the offending
-        variable instead of a bare parse error.
+        ``REPRO_CACHE_DIR``, ``REPRO_SHADOW_TRAINING``, ``REPRO_PRECISION``,
+        ``REPRO_VERDICT_CACHE`` and ``REPRO_TELEMETRY``.
+        ``REPRO_VERDICT_CACHE=1`` turns verdict memoisation on (any other
+        value leaves it off); ``REPRO_TELEMETRY=1`` turns span tracing on the
+        same way.  A malformed ``REPRO_WORKERS`` raises a :class:`ValueError`
+        naming the variable instead of a bare parse error.
         """
-        shard_dirs = tuple(
-            part for part in os.environ.get("REPRO_SHARD_DIRS", "").split(os.pathsep) if part
-        )
         return cls(
             workers=_env_int("REPRO_WORKERS", 1),
             backend=os.environ.get("REPRO_BACKEND", "thread"),
             cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
-            cache=os.environ.get("REPRO_CACHE", "1") != "0",
-            shard_dirs=shard_dirs or None,
-            max_in_flight=_env_int("REPRO_MAX_IN_FLIGHT", None),
             shadow_training=os.environ.get("REPRO_SHADOW_TRAINING", "auto"),
-            registry_lru_bytes=_env_int("REPRO_REGISTRY_LRU_BYTES", None),
-            registry_lock_wait=_env_float("REPRO_REGISTRY_LOCK_WAIT", 600.0),
-            registry_lock_stale=_env_float("REPRO_REGISTRY_LOCK_STALE", 3600.0),
-            detector_gc_bytes=_env_int("REPRO_DETECTOR_GC_BYTES", None),
             precision=os.environ.get("REPRO_PRECISION") or "float64",
             verdict_cache=os.environ.get("REPRO_VERDICT_CACHE", "0") == "1",
-            verdict_cache_bytes=_env_int("REPRO_VERDICT_CACHE_BYTES", None),
-            verdict_cache_ttl=_env_float("REPRO_VERDICT_CACHE_TTL", None),
             telemetry=os.environ.get("REPRO_TELEMETRY", "0") == "1",
-            telemetry_dir=os.environ.get("REPRO_TELEMETRY_DIR") or None,
         )
 
 

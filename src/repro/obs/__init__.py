@@ -30,7 +30,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     counter_property,
-    gauge_property,
     merge_snapshots,
 )
 from repro.obs.trace import SpanRecord, TraceContext, Tracer, get_tracer, new_id
@@ -45,7 +44,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "counter_property",
-    "gauge_property",
     "get_tracer",
     "merge_snapshots",
     "new_id",

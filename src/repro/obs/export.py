@@ -43,7 +43,7 @@ def export_to_store(spans: List[SpanRecord], store: Any, name: str) -> str:
 
     The dot-prefixed directory keeps telemetry blobs out of the store's
     artifact namespace (its loaders glob ``*.pkl``/``*.json`` artifacts by
-    key hash, and its GC must never collect a flight recording).
+    key hash).
     """
     root = str(getattr(store, "root"))
     return export_jsonl(spans, os.path.join(root, ".telemetry", f"{name}.jsonl"))

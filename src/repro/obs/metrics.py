@@ -11,8 +11,8 @@ process accumulates locally and the readers merge, in any grouping order.
 
 The pre-existing per-component ``stats()`` counters (store, registry,
 verdict cache, worker pool) are *rebased* onto a registry via
-:func:`counter_property`/:func:`gauge_property`: the component keeps its
-public ``self.hits``-style attribute (every ``self.hits += 1`` site works
+:func:`counter_property`: the component keeps its public
+``self.hits``-style attribute (every ``self.hits += 1`` site works
 unchanged, and the ``stats()`` dict shape is preserved) while the value
 lives in a named metric that the gateway's telemetry dashboard can merge.
 """
@@ -244,17 +244,5 @@ def counter_property(name: str) -> property:
 
     def fset(self, value: int) -> None:
         self.metrics.counter(name).value = value
-
-    return property(fget, fset)
-
-
-def gauge_property(name: str) -> property:
-    """Like :func:`counter_property`, for level-style values (e.g. bytes)."""
-
-    def fget(self):
-        return self.metrics.gauge(name).value
-
-    def fset(self, value) -> None:
-        self.metrics.gauge(name).value = value
 
     return property(fget, fset)

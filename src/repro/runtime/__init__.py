@@ -10,13 +10,10 @@ The runtime layer turns the BPROM pipeline into a production-shaped system:
   suspicious-model inspection) over thread or process pools.
 * :class:`~repro.runtime.pipeline.StagedPipeline` — the stage graph
   (shadow -> prompt -> meta -> inspect) with per-stage caching and reports.
-* :class:`~repro.runtime.sharding.ShardedArtifactStore` — one cache federated
-  across several store roots: deterministic home-shard placement, read-through
-  lookups across every shard, ``rebalance()``/``gc()`` maintenance.
 * :class:`~repro.runtime.registry.DetectorRegistry` — a store-backed
   catalogue of fitted detectors (BPROM and MNTD) with cross-process
-  single-flight fitting (advisory lock files, stale takeover) and a
-  byte-budgeted in-memory LRU.
+  single-flight fitting (advisory lock files, stale takeover) and an
+  in-memory map of loaded detectors.
 * :class:`~repro.runtime.gateway.AuditGateway` — the one serving path:
   routes a mixed model stream to per-tenant detectors, serves warm verdicts
   from the cache, runs each cold audit as one task on the shared worker pool
@@ -24,10 +21,10 @@ The runtime layer turns the BPROM pipeline into a production-shaped system:
   ``submit``/``as_completed``/``stream`` and reports the whole serving
   picture in one ``stats()`` snapshot.
 * :class:`~repro.runtime.verdict_cache.VerdictCache` — fingerprint-keyed
-  memoisation of audit verdicts: a weighted-LRU memory tier over store
-  persistence, TTL/refit invalidation and in-flight dedup (futures
-  in-process, advisory locks across processes), amortising the query budget
-  over redundant fleet traffic.
+  memoisation of audit verdicts: a memory tier over store persistence,
+  refit invalidation through the detector digest in the key and in-flight
+  dedup (futures in-process, advisory locks across processes), amortising
+  the query budget over redundant fleet traffic.
 * :class:`~repro.runtime.workers.WorkerPool` — the gateway's shared tenant
   worker pool (thread / process / serial backends); process workers hydrate
   detectors from the shared store through pickle-cheap
@@ -40,7 +37,6 @@ See ARCHITECTURE.md at the repository root for the full design.
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.locks import AdvisoryLock, LockTimeout
 from repro.runtime.pipeline import Stage, StagedPipeline, StageReport
-from repro.runtime.sharding import ShardedArtifactStore
 from repro.runtime.store import (
     Artifact,
     ArtifactStore,
@@ -63,7 +59,6 @@ __all__ = [
     "LockTimeout",
     "RegistryEntry",
     "ParallelExecutor",
-    "ShardedArtifactStore",
     "Stage",
     "StagedPipeline",
     "StageReport",
@@ -72,7 +67,6 @@ __all__ = [
     "WorkerPool",
     "canonical_key",
     "dataset_fingerprint",
-    "detector_digest",
     "key_hash",
     "model_fingerprint",
     "verdict_cache_key",
@@ -94,7 +88,6 @@ _LAZY = {
     "VerdictCache": "repro.runtime.verdict_cache",
     "model_fingerprint": "repro.runtime.verdict_cache",
     "verdict_cache_key": "repro.runtime.verdict_cache",
-    "detector_digest": "repro.runtime.verdict_cache",
 }
 
 

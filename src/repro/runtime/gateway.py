@@ -22,8 +22,8 @@ requested defenses — and the gateway:
   each tenant detector's ``inspect(model, seed_key=key)`` by hand (the
   per-key seed derivation is shared);
 * **reports** the whole serving picture in one :meth:`stats` snapshot:
-  per-tenant verdict counts and query budgets, registry hit/miss/evict
-  counters and the (sharded) store statistics.
+  per-tenant verdict counts and query budgets, registry hit/fit counters
+  and the store statistics.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.obs.metrics import QUERY_BUCKETS, MetricsRegistry, merge_snapshots
 from repro.obs.trace import TraceContext, get_tracer, new_id, rebased
 from repro.prompting.blackbox import QueryFunction
 from repro.runtime.registry import DetectorRegistry, DetectorSpec, RegistryEntry
-from repro.runtime.sharding import ShardedArtifactStore
 from repro.runtime.store import dataset_fingerprint
 from repro.runtime.verdict_cache import VerdictCache
 from repro.runtime.workers import (
@@ -219,15 +218,13 @@ class AuditGateway:
         self.provisioner = provisioner
         self._provision_lock = threading.Lock()
         #: fingerprint-keyed verdict memoisation; ``None`` disables caching.
-        #: It shares the registry's (possibly sharded) store so cached
-        #: verdicts live beside the detectors that produced them
+        #: It shares the registry's store so cached verdicts live beside the
+        #: detectors that produced them
         self.verdict_cache = (
             VerdictCache(store=self.registry.store, runtime=runtime)
             if runtime.verdict_cache
             else None
         )
-        if max_in_flight is None:
-            max_in_flight = runtime.max_in_flight
         if max_in_flight is None:
             max_in_flight = 2 * runtime.workers
         if max_in_flight < 1:
@@ -768,8 +765,6 @@ class AuditGateway:
     # -- dashboard -------------------------------------------------------------
     def _store_stats(self) -> Dict[str, Dict[str, int]]:
         store = self.registry.store
-        if isinstance(store, ShardedArtifactStore):
-            return store.stats()
         root = str(store.root) if store.root is not None else "<disabled>"
         return {root: {"hits": store.hits, "misses": store.misses}}
 
@@ -777,9 +772,10 @@ class AuditGateway:
         """The serving dashboard in one snapshot.
 
         Per-tenant verdict counts, query budgets and amortised
-        queries-per-verdict, the registry's hit/miss/evict counters, the
-        (per-shard) store statistics, the verdict cache's hit/miss/dedup
-        counters (when caching is on) and the gateway's own in-flight gauge.
+        queries-per-verdict, the registry's hit/fit counters, the store's
+        hit/miss tallies keyed by its root, the verdict cache's
+        hit/miss/dedup counters (when caching is on) and the gateway's own
+        in-flight gauge.
         """
 
         def amortized(queries: int, verdicts: int) -> Optional[float]:
@@ -829,9 +825,6 @@ class AuditGateway:
         """The telemetry sub-dashboard: tracer state + the merged fleet metrics.
 
         Folds the gateway's own histograms with every component registry.
-        The sharded store contributes only its *aggregate* tallies (the
-        top-level counters already sum the shards; folding per-shard
-        registries too would double-count).
         """
         return {
             "enabled": self._telemetry,

@@ -1,8 +1,9 @@
 """Advisory file locks for cross-process coordination on the artifact store.
 
-The registry's single-flight guarantee (:class:`repro.runtime.registry.
-DetectorRegistry`) and the sharded store's maintenance passes both need to
-exclude concurrent workers that share nothing but a filesystem.  An
+The registry's single-flight fit (:class:`repro.runtime.registry.
+DetectorRegistry`) and the verdict cache's cross-process single flight
+(:class:`repro.runtime.verdict_cache.VerdictCache`) both need to exclude
+concurrent workers that share nothing but a filesystem.  An
 :class:`AdvisoryLock` is a lock *file* created with ``O_CREAT | O_EXCL`` — the
 only atomic test-and-set POSIX gives us without fcntl ranges (which do not
 survive NFS consistently) — holding a small JSON payload (pid, host, creation

@@ -65,7 +65,7 @@ class StagedPipeline:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate stage names: {names}")
         self.stages = list(stages)
-        self.store = store if store is not None else ArtifactStore(None, enabled=False)
+        self.store = store if store is not None else ArtifactStore(None)
         self.reports: List[StageReport] = []
 
     def run(self) -> Dict[str, Any]:

@@ -15,12 +15,12 @@ one on demand at most once fleet-wide.  The registry provides exactly that:
   store, in *any* process), and otherwise takes an advisory lock file in the
   store (:mod:`repro.runtime.locks`) so concurrent cold-store callers fit
   exactly once: the losers wait, then load the winner's artifact.  Crashed
-  fitters are recovered by stale-lock takeover after
-  ``RuntimeConfig.registry_lock_stale`` seconds;
-* **bounded residency** — loaded detectors live in an in-memory LRU with a
-  byte budget (``RuntimeConfig.registry_lru_bytes``), so a gateway process
-  can hold dozens of tenants without unbounded RSS; evicted detectors reload
-  from the store on next use.
+  fitters are recovered by stale-lock takeover after the lock's
+  ``stale_seconds`` (one hour; a live fitter's heartbeat keeps refreshing
+  its lock);
+* **residency** — loaded detectors stay in an in-memory map for the
+  registry's lifetime, so repeat requests in one process never touch the
+  store.
 
 Both detector families round-trip with bit-identical scores
 (``BpromDetector.save``/``load`` and ``MNTDDefense.save``/``load``), which is
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from threading import RLock
 from typing import Any, Dict, List, Optional, Tuple
@@ -50,7 +49,7 @@ from repro.defenses.model_level import MNTDDefense
 from repro.models.registry import architecture_family
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.trace import get_tracer
-from repro.runtime.locks import AdvisoryLock, LockTimeout
+from repro.runtime.locks import AdvisoryLock
 from repro.runtime.pipeline import StageReport
 from repro.runtime.store import MISS, Artifact, ArtifactStore, dataset_fingerprint, key_hash
 
@@ -121,10 +120,8 @@ class RegistryEntry:
     #: the fitted ``BpromDetector`` or ``MNTDDefense``
     detector: Any
     #: "fit" (trained here), "store" (loaded from a warm artifact store) or
-    #: "memory" (served from the in-memory LRU)
+    #: "memory" (served from the registry's in-memory map)
     source: str
-    #: estimated resident size, charged against the LRU byte budget
-    nbytes: int
     #: stage execution records: the detector's own pipeline reports for a
     #: fresh fit, or a single synthetic all-cached record for a store load
     stage_reports: List[StageReport] = field(default_factory=list)
@@ -183,123 +180,54 @@ def load_detector_artifact(artifact: Artifact, spec: DetectorSpec, runtime: Runt
     )
 
 
-def _arrays_nbytes(arrays: Dict[str, Any]) -> int:
-    return int(sum(getattr(value, "nbytes", 0) for value in arrays.values()))
-
-
-def _dataset_nbytes(dataset: Optional[ImageDataset]) -> int:
-    if dataset is None:
-        return 0
-    return int(dataset.images.nbytes + dataset.labels.nbytes)
-
-
-def detector_nbytes(detector: Any) -> int:
-    """Estimated resident bytes of a loaded detector (LRU accounting).
-
-    Counts the numpy payloads that dominate RSS — meta-classifier state,
-    query pools / datasets, prompts — and ignores small Python object
-    overhead; the budget is a dial, not an audit.
-    """
-    if isinstance(detector, MNTDDefense):
-        total = _arrays_nbytes(detector._meta.get_state()) if detector._meta is not None else 0
-        if detector._query_images is not None:
-            total += int(detector._query_images.nbytes)
-        return total
-    if isinstance(detector, BpromDetector):
-        state, _info = detector.meta_classifier.get_state()
-        total = _arrays_nbytes(state)
-        total += _dataset_nbytes(detector._target_train)
-        total += _dataset_nbytes(detector.meta_classifier.query_pool)
-        for prompted in detector.prompted_shadows:
-            total += int(prompted.prompt.theta.nbytes + prompted.mapping.assignment.nbytes)
-        return total
-    raise TypeError(f"cannot estimate size of {type(detector).__name__}")
-
-
 class DetectorRegistry:
     """Store-backed catalogue of fitted detectors with single-flight fitting.
 
     Typical gateway-process usage::
 
-        registry = DetectorRegistry(runtime=RuntimeConfig(cache_dir="cache",
-                                                          registry_lru_bytes=256 << 20))
+        registry = DetectorRegistry(runtime=RuntimeConfig(cache_dir="cache"))
         entry = registry.get_or_fit(DetectorSpec(defense="bprom", architecture="mlp"),
                                     reserved_clean, target_train, target_test)
         entry.detector.inspect(suspicious_model)
 
-    Thread-safe: the in-memory LRU is guarded by a lock, and the store-level
+    Thread-safe: the in-memory map is guarded by a lock, and the store-level
     single-flight uses advisory lock files, so concurrent callers — threads
     here or whole other processes — fit each detector at most once fleet-wide.
     """
 
     #: counters live in a mergeable metrics registry (attribute API and
-    #: ``stats()`` shape unchanged): ``hits`` — served from the in-memory LRU
+    #: ``stats()`` shape unchanged): ``hits`` — served from the in-memory map
     #: without touching the store; ``store_hits`` — loaded from a warm
     #: artifact store (zero training); ``fits`` — fitted here (cold
-    #: everywhere); ``evictions`` — entries dropped to respect the byte
-    #: budget; ``gc_evictions`` — store artifacts evicted by :meth:`maybe_gc`
+    #: everywhere)
     hits = counter_property("registry.hits")
     store_hits = counter_property("registry.store_hits")
     fits = counter_property("registry.fits")
-    evictions = counter_property("registry.evictions")
-    gc_evictions = counter_property("registry.gc_evictions")
 
     def __init__(
         self,
         runtime: Optional[RuntimeConfig] = None,
         store: Optional[ArtifactStore] = None,
-        lru_bytes: Optional[int] = None,
-        lock_wait_seconds: Optional[float] = None,
-        lock_stale_seconds: Optional[float] = None,
     ) -> None:
         self.runtime = runtime or DEFAULT_RUNTIME
         self.store = store if store is not None else ArtifactStore.from_config(self.runtime)
-        self.lru_bytes = lru_bytes if lru_bytes is not None else self.runtime.registry_lru_bytes
-        self.lock_wait_seconds = (
-            lock_wait_seconds if lock_wait_seconds is not None else self.runtime.registry_lock_wait
-        )
-        self.lock_stale_seconds = (
-            lock_stale_seconds
-            if lock_stale_seconds is not None
-            else self.runtime.registry_lock_stale
-        )
-        self._entries: "OrderedDict[str, RegistryEntry]" = OrderedDict()
+        self._entries: Dict[str, RegistryEntry] = {}
         self._lock = RLock()
         self.metrics = MetricsRegistry()
         self.hits = 0
         self.store_hits = 0
         self.fits = 0
-        self.evictions = 0
-        self.gc_evictions = 0
 
-    # -- LRU ------------------------------------------------------------------
-    @property
-    def loaded_bytes(self) -> int:
-        with self._lock:
-            return sum(entry.nbytes for entry in self._entries.values())
-
+    # -- in-memory map --------------------------------------------------------
     def _insert(self, entry: RegistryEntry) -> None:
         with self._lock:
-            self._entries.pop(entry.key_hash, None)
             self._entries[entry.key_hash] = entry
-            if self.lru_bytes is None:
-                return
-            # always keep the most recently used entry, even when it alone
-            # exceeds the budget — a gateway that cannot hold one tenant is a
-            # configuration error better surfaced by RSS than by thrashing
-            while (
-                len(self._entries) > 1
-                and sum(e.nbytes for e in self._entries.values()) > self.lru_bytes
-            ):
-                self._entries.popitem(last=False)
-                self.evictions += 1
 
     def _memory_hit(self, digest: str) -> Optional[RegistryEntry]:
         with self._lock:
             entry = self._entries.get(digest)
             if entry is None:
                 return None
-            self._entries.move_to_end(digest)
             self.hits += 1
             # a per-call view, not a mutation: earlier callers keep the
             # provenance their own get_or_fit observed ("fit"/"store"), and
@@ -371,7 +299,7 @@ class DetectorRegistry:
         """The fitted detector for ``spec`` on these datasets, fitting at most
         once fleet-wide.
 
-        Lookup order: in-memory LRU, then the artifact store (a warm store
+        Lookup order: in-memory map, then the artifact store (a warm store
         serves a previously fitted detector with **zero training**, whichever
         process wrote it), then a single-flight fit under an advisory lock
         file — of N concurrent cold-store callers exactly one trains; the
@@ -404,15 +332,11 @@ class DetectorRegistry:
                 return None
             with self._lock:
                 self.store_hits += 1
-            # stamp last-use so the disk-budget GC's LRU never evicts a
-            # detector that is actively being served
-            self.store.touch(DETECTOR_KIND, key)
             return RegistryEntry(
                 key_hash=digest,
                 spec=spec,
                 detector=detector,
                 source="store",
-                nbytes=detector_nbytes(detector),
                 stage_reports=[
                     StageReport(DETECTOR_KIND, True, time.perf_counter() - start)
                 ],
@@ -427,11 +351,7 @@ class DetectorRegistry:
             # cold store: single-flight the fit across processes.  Everything
             # under the lock re-checks the store first — the previous holder
             # may have fitted exactly this detector while we waited.
-            lock = AdvisoryLock(
-                self.store.lock_path(DETECTOR_KIND, key),
-                stale_seconds=self.lock_stale_seconds,
-                wait_seconds=self.lock_wait_seconds,
-            )
+            lock = AdvisoryLock(self.store.lock_path(DETECTOR_KIND, key))
             with lock:
                 entry = try_store()
                 if entry is None:
@@ -441,13 +361,9 @@ class DetectorRegistry:
                     stop_refresh = threading.Event()
 
                     def heartbeat() -> None:
-                        # a quarter of the stale threshold, floored only far
-                        # enough to avoid a busy spin: the interval must stay
-                        # below the threshold even for very small (test-sized)
-                        # registry_lock_stale values, or a live fitter's lock
-                        # would go stale before its first refresh
-                        interval = max(self.lock_stale_seconds / 4.0, 0.05)
-                        while not stop_refresh.wait(interval):
+                        # four refreshes per stale threshold: a live fitter's
+                        # lock never ages past it
+                        while not stop_refresh.wait(lock.stale_seconds / 4.0):
                             lock.refresh()
 
                     refresher = threading.Thread(target=heartbeat, daemon=True)
@@ -463,22 +379,17 @@ class DetectorRegistry:
                         self.fits += 1
                     with self.store.open_write(DETECTOR_KIND, key) as artifact:
                         self._save_detector(artifact, spec, detector)
-                    # a fresh fit grew the store: opportunistically collect
-                    # down to the disk budget while still holding this key's
-                    # lock (which makes the just-written artifact immune)
-                    self.maybe_gc()
                     entry = RegistryEntry(
                         key_hash=digest,
                         spec=spec,
                         detector=detector,
                         source="fit",
-                        nbytes=detector_nbytes(detector),
                         stage_reports=reports,
                         key=key,
                     )
         else:
-            # no shared store: fall back to an in-process fit (the LRU still
-            # deduplicates repeat requests within this process)
+            # no shared store: fall back to an in-process fit (the in-memory
+            # map still deduplicates repeat requests within this process)
             detector, reports = self._fit(spec, reserved_clean, target_train, target_test)
             with self._lock:
                 self.fits += 1
@@ -487,38 +398,11 @@ class DetectorRegistry:
                 spec=spec,
                 detector=detector,
                 source="fit",
-                nbytes=detector_nbytes(detector),
                 stage_reports=reports,
                 key=key,
             )
         self._insert(entry)
         return entry
-
-    # -- disk-budget maintenance ----------------------------------------------
-    def maybe_gc(
-        self, grace_seconds: Optional[float] = None
-    ) -> Optional[Dict[str, int]]:
-        """One opportunistic fitted-detector GC pass, if a budget is set.
-
-        Non-blocking on the store's maintenance lock: when another node over
-        the same (sharded) store is already collecting, this pass simply
-        yields to it — the budget is eventually enforced either way.  Returns
-        the eviction statistics, or ``None`` when GC is disabled (no
-        ``detector_gc_bytes``, store off) or skipped (lock contended).
-        """
-        budget = self.runtime.detector_gc_bytes
-        if budget is None or not self.store.enabled:
-            return None
-        kwargs: Dict[str, Any] = {"lock_wait_seconds": 0.0}
-        if grace_seconds is not None:
-            kwargs["grace_seconds"] = grace_seconds
-        try:
-            result = self.store.gc_kind(DETECTOR_KIND, max_bytes=budget, **kwargs)
-        except LockTimeout:
-            return None
-        with self._lock:
-            self.gc_evictions += result["evicted"]
-        return result
 
     def stats(self) -> Dict[str, Any]:
         """Serving counters: the registry panel of the gateway dashboard."""
@@ -527,15 +411,11 @@ class DetectorRegistry:
                 "hits": self.hits,
                 "store_hits": self.store_hits,
                 "fits": self.fits,
-                "evictions": self.evictions,
-                "gc_evictions": self.gc_evictions,
                 "loaded": len(self._entries),
-                "loaded_bytes": sum(e.nbytes for e in self._entries.values()),
-                "lru_bytes": self.lru_bytes,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DetectorRegistry(loaded={len(self._entries)}, hits={self.hits}, "
-            f"store_hits={self.store_hits}, fits={self.fits}, evictions={self.evictions})"
+            f"store_hits={self.store_hits}, fits={self.fits})"
         )

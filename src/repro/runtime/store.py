@@ -16,30 +16,23 @@ import json
 import os
 import pickle
 import shutil
-import time
 import uuid
 import warnings
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
 from repro.config import RuntimeConfig
 from repro.datasets.base import ImageDataset
 from repro.obs.metrics import MetricsRegistry, counter_property
-from repro.runtime.locks import DEFAULT_STALE_SECONDS, DEFAULT_WAIT_SECONDS, AdvisoryLock
 
 PathLike = Union[str, Path]
 
 #: bump when the on-disk layout of any artifact kind changes incompatibly
 STORE_FORMAT_VERSION = 1
-
-#: a path younger than this is presumed to belong to a live writer (or an
-#: in-flight reader that just stamped it) and is never collected by the
-#: maintenance passes
-DEFAULT_GRACE_SECONDS = 300.0
 
 
 def canonical_key(payload: Any) -> str:
@@ -107,8 +100,8 @@ class Artifact:
 
 _MANIFEST = "artifact"  # artifact.json, written into the temp dir before rename
 
-#: per-root directory holding advisory lock files; dot-prefixed so artifact
-#: iteration (stats, maintenance) never mistakes it for an artifact kind
+#: per-root directory holding advisory lock files; dot-prefixed so it is
+#: never mistaken for an artifact kind
 LOCKS_DIRNAME = ".locks"
 
 #: what a loader may raise on a genuinely corrupt artifact (truncated blob,
@@ -134,8 +127,8 @@ MISS = _MISS
 class ArtifactStore:
     """Persistent cache mapping ``(kind, key payload)`` to artifact directories.
 
-    A disabled store (``enabled=False`` or no root) behaves like an
-    always-empty cache: ``contains`` is ``False`` and ``fetch`` always builds.
+    A store without a root is disabled and behaves like an always-empty
+    cache: ``contains`` is ``False`` and ``fetch`` always builds.
     """
 
     #: hit/miss tallies live in the mergeable metrics registry so the
@@ -144,28 +137,17 @@ class ArtifactStore:
     hits = counter_property("store.hits")
     misses = counter_property("store.misses")
 
-    def __init__(self, root: Optional[PathLike], enabled: bool = True) -> None:
+    def __init__(self, root: Optional[PathLike]) -> None:
         self.root = Path(root) if root is not None else None
-        self.enabled = bool(enabled) and self.root is not None
+        self.enabled = self.root is not None
         self.metrics = MetricsRegistry()
         self.hits = 0
         self.misses = 0
 
     @classmethod
     def from_config(cls, runtime: Optional[RuntimeConfig]) -> "ArtifactStore":
-        """Build the store a runtime config describes.
-
-        ``shard_dirs`` supersedes ``cache_dir``: configuring shard roots
-        returns a :class:`~repro.runtime.sharding.ShardedArtifactStore`
-        federating them behind this same interface.
-        """
-        if runtime is None:
-            return ArtifactStore(None, enabled=False)
-        if runtime.shard_dirs:
-            from repro.runtime.sharding import ShardedArtifactStore
-
-            return ShardedArtifactStore(runtime.shard_dirs, enabled=runtime.cache)
-        return ArtifactStore(runtime.cache_dir, enabled=runtime.persistent)
+        """The store rooted at ``runtime.cache_dir`` (disabled without one)."""
+        return ArtifactStore(runtime.cache_dir if runtime is not None else None)
 
     # -- addressing -----------------------------------------------------------
     def directory_for(self, kind: str, key: Any) -> Path:
@@ -182,9 +164,8 @@ class ArtifactStore:
         """Advisory-lock file coordinating cross-process work on one key.
 
         Lives beside the artifacts (under ``<root>/.locks/``), so every
-        process that shares the store root agrees on the lock's location; the
-        sharded store overrides this to the key's *home shard* for the same
-        reason.  The store only names the path — callers wrap it in
+        process that shares the store root agrees on the lock's location.
+        The store only names the path — callers wrap it in
         :class:`repro.runtime.locks.AdvisoryLock`.
         """
         if self.root is None:
@@ -231,160 +212,6 @@ class ArtifactStore:
         except BaseException:
             shutil.rmtree(temp, ignore_errors=True)
             raise
-
-    def delete(self, kind: str, key: Any) -> bool:
-        """Remove one artifact; ``True`` when something was deleted.
-
-        ``open_write`` keeps an existing destination (first-wins), so a
-        caller that must *replace* an artifact — e.g. the verdict cache
-        re-auditing a TTL-expired entry — deletes first, then writes.
-        """
-        if not self.enabled:
-            return False
-        directory = self.directory_for(kind, key)
-        if not directory.exists():
-            return False
-        shutil.rmtree(directory, ignore_errors=True)
-        return True
-
-    # -- maintenance ----------------------------------------------------------
-    def touch(self, kind: str, key: Any) -> bool:
-        """Stamp an artifact's last-use time (atime-style LRU bookkeeping).
-
-        The manifest's mtime is the recency coordinate :meth:`gc_kind` sorts
-        by; every serving-path read (registry store hit, worker hydration)
-        touches, so in-use artifacts sort young and survive eviction.
-        ``True`` when something was stamped; an absent (or concurrently
-        evicted) artifact returns ``False``.
-        """
-        if not self.enabled:
-            return False
-        manifest = self.directory_for(kind, key) / f"{_MANIFEST}.json"
-        try:
-            os.utime(manifest)
-        except OSError:
-            return False
-        return True
-
-    def maintenance_lock(
-        self,
-        wait_seconds: float = DEFAULT_WAIT_SECONDS,
-        stale_seconds: float = DEFAULT_STALE_SECONDS,
-    ) -> AdvisoryLock:
-        """The advisory lock serialising maintenance passes on this store.
-
-        One well-known path under the root's lock directory, so every process
-        (or gateway node) sharing the store agrees on it; the sharded store
-        inherits this with its first shard as the root.  Writers do not take
-        this lock — in-flight work is instead protected by per-key advisory
-        locks and the maintenance grace period.
-        """
-        if self.root is None:
-            raise RuntimeError("artifact store has no root directory")
-        path = self.root / LOCKS_DIRNAME / "maintenance.lock"
-        return AdvisoryLock(path, stale_seconds=stale_seconds, wait_seconds=wait_seconds)
-
-    def _gc_candidates(self, kind: str) -> Iterator[Tuple[Path, Path]]:
-        """Yield ``(artifact_dir, lock_path)`` for every complete ``kind``
-        artifact; the artifact directory name *is* the key hash, so the
-        per-key lock path is computed without reading manifests."""
-        if self.root is None:
-            return
-        kind_dir = self.root / kind
-        if not kind_dir.exists():
-            return
-        for artifact_dir in sorted(path for path in kind_dir.iterdir() if path.is_dir()):
-            if artifact_dir.name.startswith("."):
-                continue  # .tmp- staging directories are a live writer's
-            if not (artifact_dir / f"{_MANIFEST}.json").exists():
-                continue
-            lock_path = self.root / LOCKS_DIRNAME / f"{kind}-{artifact_dir.name}.lock"
-            yield artifact_dir, lock_path
-
-    @staticmethod
-    def _tree_nbytes(directory: Path) -> int:
-        total = 0
-        for path in sorted(directory.rglob("*")):
-            try:
-                if path.is_file():
-                    total += path.stat().st_size
-            except OSError:
-                continue  # racing eviction/rewrite; the next pass recounts
-        return total
-
-    def gc_kind(
-        self,
-        kind: str,
-        max_bytes: int,
-        grace_seconds: float = DEFAULT_GRACE_SECONDS,
-        lock_wait_seconds: float = 60.0,
-        stale_seconds: float = DEFAULT_STALE_SECONDS,
-    ) -> Dict[str, int]:
-        """Evict least-recently-used ``kind`` artifacts down to a byte budget.
-
-        Runs under the store's :meth:`maintenance_lock`, so concurrent GC
-        passes from other gateway nodes over the same (sharded) store are
-        serialised; raises :class:`~repro.runtime.locks.LockTimeout` when the
-        lock cannot be had within ``lock_wait_seconds`` (callers doing
-        opportunistic GC pass ``0`` and treat the timeout as "someone else is
-        already collecting").  Two classes of artifact are never evicted,
-        protecting work in flight:
-
-        * artifacts whose per-key advisory lock file exists — a fitter or
-          single-flight loader is working under that key right now;
-        * artifacts used within ``grace_seconds`` (the serving paths
-          :meth:`touch` on every read, so a detector a worker just hydrated
-          sorts young).
-
-        Returns eviction statistics; ``bytes_after`` may exceed ``max_bytes``
-        when everything over budget is lock- or grace-protected.
-        """
-        stats = {
-            "scanned": 0,
-            "bytes_before": 0,
-            "bytes_after": 0,
-            "evicted": 0,
-            "evicted_bytes": 0,
-            "skipped_locked": 0,
-            "skipped_grace": 0,
-        }
-        if not self.enabled:
-            return stats
-        with self.maintenance_lock(
-            wait_seconds=lock_wait_seconds, stale_seconds=stale_seconds
-        ):
-            now = time.time()
-            candidates = []
-            for artifact_dir, lock_path in self._gc_candidates(kind):
-                try:
-                    last_used = (artifact_dir / f"{_MANIFEST}.json").stat().st_mtime
-                except OSError:
-                    continue  # vanished mid-scan
-                candidates.append(
-                    (last_used, artifact_dir, lock_path, self._tree_nbytes(artifact_dir))
-                )
-            total = sum(nbytes for _, _, _, nbytes in candidates)
-            stats["scanned"] = len(candidates)
-            stats["bytes_before"] = total
-            # oldest-first (directory name tiebreak keeps the order stable
-            # across filesystems with coarse mtime resolution)
-            for last_used, artifact_dir, lock_path, nbytes in sorted(
-                candidates, key=lambda item: (item[0], item[1].name)
-            ):
-                if total <= max_bytes:
-                    break
-                if lock_path.exists():
-                    stats["skipped_locked"] += 1
-                    continue
-                if grace_seconds > 0 and (now - last_used) < grace_seconds:
-                    stats["skipped_grace"] += 1
-                    continue
-                shutil.rmtree(artifact_dir, ignore_errors=True)
-                total -= nbytes
-                stats["evicted"] += 1
-                stats["evicted_bytes"] += nbytes
-            stats["bytes_after"] = total
-        return stats
 
     # -- the memoisation primitive --------------------------------------------
     def try_load(self, kind: str, key: Any, load: Callable[[Artifact], Any]) -> Any:

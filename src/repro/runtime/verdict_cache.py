@@ -18,18 +18,16 @@ A cached verdict is addressed by the triple
   *named* uploads of the same weights share a verdict; two differently
   *trained* models never do);
 * the **detector digest** — the registry ``key_hash`` of the tenant's fitted
-  detector (or :func:`detector_digest` for bare services), so refitting a
-  detector invalidates every verdict it produced;
+  detector, so refitting a detector invalidates every verdict it produced;
 * the **precision tier**, so float32 and float64 deployments never share an
   entry.
 
 Tiers and dedup
 ---------------
-The cache is two-tier: a byte-budgeted in-memory **weighted LRU** (hits carry
-weight; each eviction sweep halves every weight, so formerly-hot entries decay
-back out) over persistence in the (optionally sharded)
-:class:`~repro.runtime.store.ArtifactStore`.  Concurrent submissions of one
-fingerprint are **single-flighted**: in-process via a shared future
+The cache is two-tier: an in-memory map from key digest to verdict over
+persistence in the :class:`~repro.runtime.store.ArtifactStore`; a store hit
+is promoted into memory.  Concurrent submissions of one fingerprint are
+**single-flighted**: in-process via a shared future
 (:meth:`VerdictCache.begin`), cross-process via the store's
 :class:`~repro.runtime.locks.AdvisoryLock` protocol
 (:meth:`VerdictCache.compute_through_store`) — two threads *and* two processes
@@ -37,9 +35,9 @@ racing on the same model perform exactly one inspection.
 
 Staleness
 ---------
-``ttl_seconds`` bounds the age of a served verdict (both tiers); an expired
-store entry is deleted and re-audited.  Detector refits need no TTL: the new
-fit changes the detector digest, which changes the key.
+A verdict never outlives its detector: a refit changes the detector digest,
+which changes the key.  Entries are otherwise kept for the cache's lifetime
+(memory) or the store's (disk).
 
 The cache assumes the submission's query endpoint is faithful to the
 submitted weights — a ``query_function`` that answers differently than the
@@ -51,14 +49,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
-from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.config import RuntimeConfig
-from repro.obs.metrics import MetricsRegistry, counter_property, gauge_property
+from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.runtime.locks import AdvisoryLock
 from repro.runtime.store import (
     ArtifactStore,
@@ -73,10 +69,6 @@ VERDICT_KIND = "audit-verdict"
 
 #: bump when the cached-verdict payload layout changes incompatibly
 VERDICT_CACHE_FORMAT_VERSION = 1
-
-#: fixed per-entry bookkeeping charge added to the serialized payload size
-#: when accounting the in-memory tier against ``max_bytes``
-_ENTRY_OVERHEAD_BYTES = 256
 
 #: cache provenance values an :class:`~repro.runtime.workers.AuditVerdict`
 #: may carry: ``"cold"`` (inspected now), ``"memory"``/``"store"`` (served
@@ -120,130 +112,55 @@ def verdict_cache_key(fingerprint: str, detector_digest: str, precision: str) ->
     }
 
 
-def detector_digest(detector: Any) -> str:
-    """Content digest of a fitted detector, for detectors outside the registry.
-
-    Gateway tenants use their registry entry's ``key_hash`` (which already
-    encodes profile/seed/data/precision); a detector fitted outside the
-    registry has no registry entry, so this hashes the state that inspection
-    actually reads: the meta-classifier state, the query pool, the decision
-    threshold and the precision tier.
-    Refitting the detector changes the meta state, hence the digest.
-    """
-    digest = hashlib.sha256()
-    meta = getattr(detector, "meta_classifier", None)
-    if meta is not None and hasattr(meta, "get_state"):
-        state, info = meta.get_state()
-        digest.update(state_fingerprint(state).encode("utf-8"))
-        digest.update(canonical_key(info).encode("utf-8"))
-    pool = getattr(meta, "query_pool", None) if meta is not None else None
-    if pool is None:
-        pool = getattr(detector, "query_images", None)
-    if pool is not None:
-        images = getattr(pool, "images", pool)
-        digest.update(state_fingerprint({"pool": images}).encode("utf-8"))
-    runtime = getattr(detector, "runtime", None)
-    summary = {
-        "threshold": getattr(detector, "threshold", None),
-        "seed": getattr(detector, "seed", None),
-        "precision": getattr(runtime, "precision", None)
-        or getattr(detector, "precision", None),
-        "kind": type(detector).__name__,
-    }
-    digest.update(canonical_key(summary).encode("utf-8"))
-    return digest.hexdigest()[:20]
-
-
-@dataclass
-class _MemoryEntry:
-    """One in-memory cached verdict with its weighted-LRU bookkeeping."""
-
-    verdict: Any
-    created: float
-    nbytes: int
-    weight: float = 1.0
-
-
 class VerdictCache:
     """Two-tier, dedup-aware memoisation of audit verdicts.
 
     Parameters
     ----------
     store:
-        Persistence tier (plain or sharded artifact store); ``None`` derives
-        one from ``runtime``.  A disabled store leaves the memory tier and
-        in-process dedup fully functional (the cache just forgets on restart).
+        Persistence tier; ``None`` derives one from ``runtime``.  A disabled
+        store leaves the memory tier and in-process dedup fully functional
+        (the cache just forgets on restart).
     runtime:
-        Source of defaults: ``verdict_cache_bytes`` (memory budget),
-        ``verdict_cache_ttl`` (staleness bound) and the advisory-lock tuning
-        (``registry_lock_wait``/``registry_lock_stale`` — verdict inspections
-        share the registry's cross-process lock discipline).
-    max_bytes / ttl_seconds / enabled:
-        Explicit overrides of the runtime-derived defaults.
-    clock:
-        Injectable time source for the TTL policy (tests freeze it); the
-        default is wall-clock, which is what artifact ages are measured in.
+        Source of the store when ``store`` is ``None`` (its ``cache_dir``).
+    enabled:
+        ``False`` makes the cache inert: nothing is served or stored.
     """
 
     #: all tallies live in a mergeable metrics registry (the attribute API
     #: and the ``stats()`` shape are unchanged); ``inspections`` counts cold
     #: inspections actually performed through this cache instance
-    memory_bytes = gauge_property("verdict_cache.memory_bytes")
     memory_hits = counter_property("verdict_cache.memory_hits")
     store_hits = counter_property("verdict_cache.store_hits")
     dedup_hits = counter_property("verdict_cache.dedup_hits")
     misses = counter_property("verdict_cache.misses")
-    evictions = counter_property("verdict_cache.evictions")
-    expirations = counter_property("verdict_cache.expirations")
     inspections = counter_property("verdict_cache.inspections")
 
     def __init__(
         self,
         store: Optional[ArtifactStore] = None,
         runtime: Optional[RuntimeConfig] = None,
-        max_bytes: Optional[int] = None,
-        ttl_seconds: Optional[float] = None,
         enabled: bool = True,
-        clock: Callable[[], float] = time.time,
     ) -> None:
-        self.runtime = runtime
-        if store is None:
-            store = ArtifactStore.from_config(runtime)
-        self.store = store
-        if max_bytes is None and runtime is not None:
-            max_bytes = runtime.verdict_cache_bytes
-        if ttl_seconds is None and runtime is not None:
-            ttl_seconds = runtime.verdict_cache_ttl
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError(f"ttl_seconds must be positive, got {ttl_seconds}")
-        self.max_bytes = max_bytes
-        self.ttl_seconds = ttl_seconds
+        self.store = store if store is not None else ArtifactStore.from_config(runtime)
         self.enabled = bool(enabled)
-        self.clock = clock
-        self._lock_wait = runtime.registry_lock_wait if runtime is not None else 600.0
-        self._lock_stale = runtime.registry_lock_stale if runtime is not None else 3600.0
         self._lock = threading.Lock()
-        #: memory tier: key digest -> entry, ordered cold -> hot (LRU order)
-        self._entries: "OrderedDict[str, _MemoryEntry]" = OrderedDict()
+        #: memory tier: key digest -> verdict in its cold (tier-resident) form
+        self._entries: Dict[str, Any] = {}
         #: in-flight leaders: key digest -> shared future of the inspection
         self._inflight: Dict[str, Any] = {}
         self.metrics = MetricsRegistry()
-        self.memory_bytes = 0
         self.memory_hits = 0
         self.store_hits = 0
         self.dedup_hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.expirations = 0
         self.inspections = 0
 
     # -- pickling: a worker-process clone shares only the store tier ---------
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         state["_lock"] = None
-        state["_entries"] = OrderedDict()
+        state["_entries"] = {}
         state["_inflight"] = {}
         # the clone tallies from zero into its own registry; the owner's
         # counts stay local and the readers merge snapshots
@@ -273,26 +190,22 @@ class VerdictCache:
     def lookup(self, key: Dict[str, Any], name: str) -> Optional[Any]:
         """Serve a verdict from the memory or store tier, or ``None``.
 
-        A memory hit bumps the entry's weight (weighted LRU); a store hit
-        promotes the verdict into the memory tier.  Expired entries (older
-        than ``ttl_seconds``) are dropped — store entries are deleted so the
-        re-audit can persist its fresh verdict.
+        A store hit promotes the verdict into the memory tier.
         """
         if not self.enabled:
             return None
         digest = key_hash(key)
         with self._lock:
-            entry = self._memory_get(digest)
-            if entry is not None:
+            verdict = self._entries.get(digest)
+            if verdict is not None:
                 self.memory_hits += 1
-                entry.weight += 1.0
-                return self.served(entry.verdict, name, "memory")
+                return self.served(verdict, name, "memory")
         verdict = self._load_store(key)
         if verdict is None:
             return None
         with self._lock:
             self.store_hits += 1
-            self._memory_put(digest, verdict)
+            self._entries[digest] = verdict
         return self.served(verdict, name, "store")
 
     # -- in-process single flight ---------------------------------------------
@@ -314,11 +227,10 @@ class VerdictCache:
         """
         digest = key_hash(key)
         with self._lock:
-            entry = self._memory_get(digest)
-            if entry is not None:
+            verdict = self._entries.get(digest)
+            if verdict is not None:
                 self.memory_hits += 1
-                entry.weight += 1.0
-                return ("verdict", self.served(entry.verdict, name, "memory"))
+                return ("verdict", self.served(verdict, name, "memory"))
             shared = self._inflight.get(digest)
             if shared is not None:
                 self.dedup_hits += 1
@@ -348,7 +260,7 @@ class VerdictCache:
         with self._lock:
             if verdict.cache == "cold":
                 self.inspections += 1
-            self._memory_put(digest, verdict)
+            self._entries[digest] = self._canonical_verdict(verdict)
             self._inflight.pop(digest, None)
         shared.set_result(verdict)
 
@@ -378,12 +290,7 @@ class VerdictCache:
             with self._lock:
                 self.store_hits += 1
             return self.served(verdict, name, "store")
-        lock = AdvisoryLock(
-            self.store.lock_path(VERDICT_KIND, key),
-            stale_seconds=self._lock_stale,
-            wait_seconds=self._lock_wait,
-        )
-        with lock:
+        with AdvisoryLock(self.store.lock_path(VERDICT_KIND, key)):
             verdict = self._load_store(key)
             if verdict is not None:
                 with self._lock:
@@ -406,7 +313,7 @@ class VerdictCache:
         with self._lock:
             if getattr(verdict, "cache", "cold") == "cold":
                 self.inspections += 1
-            self._memory_put(key_hash(key), verdict)
+            self._entries[key_hash(key)] = self._canonical_verdict(verdict)
         if self.store.enabled and not self.store.contains(VERDICT_KIND, key):
             self._write_store(key, verdict)
 
@@ -438,56 +345,6 @@ class VerdictCache:
         self.complete(token, verdict)
         return self.served(verdict, name, verdict.cache)
 
-    # -- memory tier (callers hold self._lock) --------------------------------
-    def _expired(self, created: float) -> bool:
-        return self.ttl_seconds is not None and (self.clock() - created) > self.ttl_seconds
-
-    def _memory_get(self, digest: str) -> Optional[_MemoryEntry]:
-        entry = self._entries.get(digest)
-        if entry is None:
-            return None
-        if self._expired(entry.created):
-            del self._entries[digest]
-            self.memory_bytes -= entry.nbytes
-            self.expirations += 1
-            return None
-        self._entries.move_to_end(digest)
-        return entry
-
-    def _memory_put(self, digest: str, verdict: Any) -> None:
-        if self.max_bytes == 0:
-            return
-        canonical = self._canonical_verdict(verdict)
-        nbytes = len(canonical_key(self._verdict_payload(canonical))) + _ENTRY_OVERHEAD_BYTES
-        stale = self._entries.pop(digest, None)
-        if stale is not None:
-            self.memory_bytes -= stale.nbytes
-        self._entries[digest] = _MemoryEntry(
-            verdict=canonical, created=self.clock(), nbytes=nbytes
-        )
-        self.memory_bytes += nbytes
-        if self.max_bytes is None:
-            return
-        # weighted LRU: evict the lowest-weight entry (LRU order breaks
-        # ties), never the entry just inserted; each eviction halves every
-        # weight so long-ago-hot entries decay back toward cold
-        while self.memory_bytes > self.max_bytes and len(self._entries) > 1:
-            victim = min(
-                (d for d in self._entries if d != digest),
-                key=lambda d: (self._entries[d].weight, self._position(d)),
-            )
-            removed = self._entries.pop(victim)
-            self.memory_bytes -= removed.nbytes
-            self.evictions += 1
-            for entry in self._entries.values():
-                entry.weight *= 0.5
-
-    def _position(self, digest: str) -> int:
-        for index, candidate in enumerate(self._entries):
-            if candidate == digest:
-                return index
-        return len(self._entries)
-
     # -- store tier ------------------------------------------------------------
     @staticmethod
     def _canonical_verdict(verdict: Any):
@@ -512,12 +369,11 @@ class VerdictCache:
         }
 
     def _load_store(self, key: Dict[str, Any]) -> Optional[Any]:
-        """The persisted verdict for ``key``, or ``None`` (absent/expired).
+        """The persisted verdict for ``key``, or ``None`` when absent.
 
         JSON round-trips floats exactly (repr-based), so a loaded verdict is
-        bit-identical to the one written.  An entry older than the TTL is
-        deleted — :meth:`~repro.runtime.store.ArtifactStore.open_write` keeps
-        existing directories, so the re-audit could never land otherwise.
+        bit-identical to the one written.  Only ``payload`` is read; older
+        documents also carry a ``created`` stamp, which is ignored.
         """
         if not self.store.enabled:
             return None
@@ -525,12 +381,6 @@ class VerdictCache:
             VERDICT_KIND, key, lambda artifact: artifact.load_json("verdict")
         )
         if document is MISS:
-            return None
-        created = float(document.get("created", 0.0))
-        if self._expired(created):
-            with self._lock:
-                self.expirations += 1
-            self.store.delete(VERDICT_KIND, key)
             return None
         payload = document["payload"]
         from repro.runtime.workers import AuditVerdict
@@ -553,7 +403,6 @@ class VerdictCache:
                 "verdict",
                 {
                     "format_version": VERDICT_CACHE_FORMAT_VERSION,
-                    "created": self.clock(),
                     "key": dict(key),
                     "payload": self._verdict_payload(canonical),
                 },
@@ -561,7 +410,7 @@ class VerdictCache:
 
     # -- dashboard -------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Hit/miss/dedup counters plus the memory tier's occupancy."""
+        """Hit/miss/dedup counters plus the memory tier's entry count."""
         with self._lock:
             hits = self.memory_hits + self.store_hits + self.dedup_hits
             total = hits + self.misses
@@ -574,18 +423,12 @@ class VerdictCache:
                 "hit_rate": (hits / total) if total else 0.0,
                 "inspections": self.inspections,
                 "entries": len(self._entries),
-                "memory_bytes": self.memory_bytes,
-                "max_bytes": self.max_bytes,
-                "ttl_seconds": self.ttl_seconds,
-                "evictions": self.evictions,
-                "expirations": self.expirations,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "enabled" if self.enabled else "disabled"
         return (
-            f"VerdictCache({state}, entries={len(self._entries)}, "
-            f"memory={self.memory_bytes}B, hits="
+            f"VerdictCache({state}, entries={len(self._entries)}, hits="
             f"{self.memory_hits}/{self.store_hits}/{self.dedup_hits}, "
             f"misses={self.misses})"
         )

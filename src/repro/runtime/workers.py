@@ -12,7 +12,7 @@ gateway, so "scales within one process" becomes "scales with the machine":
   runtime describing the shared store.  Process backends ship the *ref*, not
   the detector.
 * :func:`resolve_detector` — worker-side hydration: the first task referencing
-  a detector loads it from the shared (sharded) store by registry key —
+  a detector loads it from the shared store by registry key —
   **warm-loading, never refitting** — and caches it in the worker process, so
   every later task on that worker serves from memory.
 * :class:`AuditVerdict` and the pool tasks that build it.
@@ -80,8 +80,8 @@ class AuditVerdict:
 class DetectorRef:
     """A store address of one fitted detector, cheap to pickle to workers.
 
-    ``runtime`` describes how a worker reaches the shared store (cache/shard
-    roots) and hydrates — the gateway hands out a serial, single-worker
+    ``runtime`` describes how a worker reaches the shared store (its
+    ``cache_dir``) and hydrates — the gateway hands out a serial, single-worker
     override so hydration inside a pool worker never opens a nested pool.
     """
 
@@ -124,12 +124,9 @@ def resolve_detector(ref: Any) -> Any:
             raise RuntimeError(
                 f"worker cannot hydrate detector {ref.key_hash}: no "
                 f"{DETECTOR_KIND!r} artifact in the store at "
-                f"{ref.runtime.cache_dir or ref.runtime.shard_dirs!r} — refitting "
+                f"{ref.runtime.cache_dir!r} — refitting "
                 "in a pool worker is forbidden (the gateway fits before dispatch)"
             )
-        # stamp last-use so the disk-budget GC never evicts a detector that
-        # live workers are serving from
-        store.touch(DETECTOR_KIND, ref.key)
         _HYDRATED[ref.key_hash] = detector
         return detector
 

@@ -130,6 +130,22 @@ class TestD104WallClock:
             start = time.perf_counter()
         """)
 
+    @pytest.mark.parametrize(
+        "relpath",
+        ["src/repro/runtime/store.py", "src/repro/runtime/verdict_cache.py"],
+    )
+    def test_fires_in_store_and_verdict_cache(self, relpath):
+        # neither module ages anything by the wall clock: the store keeps no
+        # GC grace period and cached verdicts carry no TTL
+        assert_fires(
+            "D104",
+            """
+            import time
+            stamp = time.time()
+            """,
+            relpath=relpath,
+        )
+
 
 class TestD105UnsortedFsIteration:
     def test_fires_on_listdir(self):

@@ -261,7 +261,7 @@ def test_stats_snapshot_reports_tenants_registry_and_store(warm_gateway, vendor_
     # a float32 tenant from the float64 reference tier at a glance
     assert all(t["precision"] == "float64" for t in stats["tenants"].values())
     assert stats["registry"]["fits"] == 3  # one fit per tenant, cold store
-    assert stats["registry"]["evictions"] == 0
+    assert stats["registry"]["loaded"] == 3
     assert isinstance(stats["store"], dict) and stats["store"]
     assert stats["in_flight"] == 0
     assert stats["max_in_flight"] == 3
@@ -275,11 +275,9 @@ def test_shared_budget_caps_concurrent_work(tenant_specs, tiny_dataset, tiny_tes
         AuditGateway(runtime=runtime, max_in_flight=0)
 
 
-def test_max_in_flight_comes_from_runtime_config():
-    with AuditGateway(runtime=RuntimeConfig(workers=4, max_in_flight=3)) as gateway:
-        assert gateway.max_in_flight == 3
+def test_max_in_flight_defaults_to_twice_the_workers():
     with AuditGateway(runtime=RuntimeConfig(workers=4)) as gateway:
-        assert gateway.max_in_flight == 8  # 2x workers
+        assert gateway.max_in_flight == 8
 
 
 class _PeakQuery:

@@ -188,7 +188,7 @@ def test_counter_properties_preserve_component_stats():
     shape, while the values land in the mergeable registry."""
     from repro.runtime.store import ArtifactStore
 
-    store = ArtifactStore(None, enabled=False)
+    store = ArtifactStore(None)
     store.misses += 2
     store.hits += 1
     assert (store.hits, store.misses) == (1, 2)
@@ -302,15 +302,11 @@ TENANT_KEYS = {
     "accepted", "rejected", "query_count", "query_calls", "cache_hits",
     "dedup_hits", "provisioned", "amortized_queries_per_verdict",
 }
-REGISTRY_KEYS = {
-    "hits", "store_hits", "fits", "evictions", "gc_evictions",
-    "loaded", "loaded_bytes", "lru_bytes",
-}
+REGISTRY_KEYS = {"hits", "store_hits", "fits", "loaded"}
 STORE_KEYS = {"hits", "misses"}
 VERDICT_CACHE_KEYS = {
     "enabled", "memory_hits", "store_hits", "dedup_hits", "misses", "hit_rate",
-    "inspections", "entries", "memory_bytes", "max_bytes", "ttl_seconds",
-    "evictions", "expirations",
+    "inspections", "entries",
 }
 WORKER_POOL_KEYS = {"backend", "workers", "started", "tasks"}
 TELEMETRY_KEYS = {"enabled", "spans_recorded", "metrics"}
@@ -340,8 +336,8 @@ def test_stats_snapshot_schema(
     assert set(stats["tenants"]) == {"tabular-mlp"}
     assert set(stats["tenants"]["tabular-mlp"]) == TENANT_KEYS
     assert set(stats["registry"]) == REGISTRY_KEYS
-    for shard_stats in stats["store"].values():
-        assert set(shard_stats) == STORE_KEYS
+    for root_stats in stats["store"].values():
+        assert set(root_stats) == STORE_KEYS
     assert set(stats["verdict_cache"]) == VERDICT_CACHE_KEYS
     assert set(stats["worker_pool"]) == WORKER_POOL_KEYS
     assert set(stats["telemetry"]) == TELEMETRY_KEYS

@@ -7,8 +7,8 @@ The acceptance properties of the registry subsystem:
   a warm store — every stage report cached;
 * two concurrent cold-store ``get_or_fit`` callers fit **exactly once**
   (cross-process single-flight via advisory lock files);
-* the in-memory LRU respects its byte budget and reloads evicted detectors
-  from the store.
+* loaded detectors stay in memory, so repeat requests in one process never
+  touch the store.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def test_second_process_reuses_both_detector_kinds(
         trained_mlp, tiny_dataset
     )
 
-    # third call in the same process: served from the in-memory LRU
+    # third call in the same process: served from the in-memory map
     assert second.get_or_fit(specs["mntd"], tiny_dataset).source == "memory"
     assert second.hits == 1
 
@@ -253,32 +253,16 @@ def test_concurrent_cold_callers_fit_exactly_once(
 
 
 # ---------------------------------------------------------------------------
-# registry: LRU byte budget
+# registry: in-memory residency
 # ---------------------------------------------------------------------------
 
-def test_lru_byte_budget_evicts_and_reloads(specs, shared_store_dir, tiny_dataset, tiny_test_dataset):
-    # budget of one byte: every insert evicts the previous entry (the most
-    # recent entry is always retained even though it exceeds the budget)
-    runtime = RuntimeConfig(cache_dir=str(shared_store_dir), registry_lru_bytes=1)
-    registry = DetectorRegistry(runtime=runtime)
-    first = registry.get_or_fit(specs["bprom"], tiny_dataset, tiny_test_dataset, tiny_test_dataset)
-    assert first.nbytes > 1
-    registry.get_or_fit(specs["mntd"], tiny_dataset)
-    assert registry.evictions == 1
-    assert registry.stats()["loaded"] == 1
-    # the evicted detector reloads from the store, not via a refit
-    again = registry.get_or_fit(specs["bprom"], tiny_dataset, tiny_test_dataset, tiny_test_dataset)
-    assert again.source == "store"
-    assert registry.fits == 0
-
-
-def test_unbounded_lru_keeps_everything(specs, shared_store_dir, tiny_dataset, tiny_test_dataset):
+def test_registry_keeps_every_loaded_detector(
+    specs, shared_store_dir, tiny_dataset, tiny_test_dataset
+):
     registry = DetectorRegistry(runtime=RuntimeConfig(cache_dir=str(shared_store_dir)))
     registry.get_or_fit(specs["bprom"], tiny_dataset, tiny_test_dataset, tiny_test_dataset)
     registry.get_or_fit(specs["mntd"], tiny_dataset)
-    stats = registry.stats()
-    assert stats["loaded"] == 2 and stats["evictions"] == 0
-    assert stats["loaded_bytes"] > 0
+    assert registry.stats()["loaded"] == 2
 
 
 def test_registry_without_store_fits_in_process(micro_profile, tiny_dataset):
@@ -286,54 +270,6 @@ def test_registry_without_store_fits_in_process(micro_profile, tiny_dataset):
     spec = DetectorSpec(defense="mntd", profile=micro_profile, architecture="mlp", num_queries=4)
     entry = registry.get_or_fit(spec, tiny_dataset)
     assert entry.source == "fit"
-    # repeat requests still deduplicate through the in-memory LRU
+    # repeat requests still deduplicate through the in-memory map
     assert registry.get_or_fit(spec, tiny_dataset).source == "memory"
     assert registry.fits == 1
-
-
-# ---------------------------------------------------------------------------
-# disk-budget GC on the fit path
-# ---------------------------------------------------------------------------
-
-def _mntd_spec(micro_profile, seed: int) -> DetectorSpec:
-    return DetectorSpec(
-        defense="mntd", profile=micro_profile, architecture="mlp", seed=seed, num_queries=4
-    )
-
-
-def test_fit_path_gc_keeps_store_under_budget(micro_profile, tiny_dataset, tmp_path):
-    """With ``detector_gc_bytes`` set, every fit runs an opportunistic GC pass
-    that evicts idle detectors — but never the artifact the fit just wrote
-    (its per-key advisory lock is still held during the pass)."""
-    from repro.runtime.registry import DETECTOR_KIND
-
-    runtime = RuntimeConfig(cache_dir=str(tmp_path), detector_gc_bytes=1)
-    registry = DetectorRegistry(runtime=runtime)
-    entry_a = registry.get_or_fit(_mntd_spec(micro_profile, seed=0), tiny_dataset)
-    # age A past the grace period, as a long-idle tenant's detector would be
-    manifest = registry.store.directory_for(DETECTOR_KIND, entry_a.key) / "artifact.json"
-    stamp = time.time() - 3600
-    os.utime(manifest, (stamp, stamp))
-    entry_b = registry.get_or_fit(_mntd_spec(micro_profile, seed=1), tiny_dataset)
-    assert not registry.store.contains(DETECTOR_KIND, entry_a.key)
-    assert registry.store.contains(DETECTOR_KIND, entry_b.key)
-    assert registry.stats()["gc_evictions"] == 1
-
-
-def test_maybe_gc_is_opportunistic_and_off_without_budget(
-    micro_profile, tiny_dataset, tmp_path
-):
-    unbudgeted = DetectorRegistry(runtime=RuntimeConfig(cache_dir=str(tmp_path)))
-    unbudgeted.get_or_fit(_mntd_spec(micro_profile, seed=0), tiny_dataset)
-    assert unbudgeted.maybe_gc() is None  # no budget: GC never runs
-
-    runtime = RuntimeConfig(cache_dir=str(tmp_path), detector_gc_bytes=1)
-    registry = DetectorRegistry(runtime=runtime)
-    with registry.store.maintenance_lock():
-        # another node is already collecting: skip, don't block the fit path
-        assert registry.maybe_gc(grace_seconds=0.0) is None
-    result = registry.maybe_gc(grace_seconds=0.0)
-    assert result is not None and result["evicted"] == 1
-    assert result["bytes_after"] == 0  # the one fitted artifact is gone
-    assert registry.gc_evictions == 1
-    assert registry.stats()["gc_evictions"] == 1

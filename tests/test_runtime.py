@@ -56,7 +56,7 @@ def test_store_failed_write_leaves_no_artifact(tmp_path):
 
 
 def test_disabled_store_always_builds(tmp_path):
-    store = ArtifactStore(None, enabled=False)
+    store = ArtifactStore(None)
     calls = []
     value = store.fetch("demo", {"k": 1}, build=lambda: calls.append(1) or 42)
     assert value == 42 and calls == [1]
@@ -152,12 +152,10 @@ def test_executor_rejects_bad_config():
         RuntimeConfig(workers=2, backend="fiber")
 
 
-def test_runtime_config_properties(tmp_path):
+def test_runtime_config_properties():
     assert not RuntimeConfig().parallel
     assert RuntimeConfig(workers=4).parallel
-    assert not RuntimeConfig(workers=4, cache_dir=None).persistent
-    assert RuntimeConfig(cache_dir=str(tmp_path)).persistent
-    assert not RuntimeConfig(cache_dir=str(tmp_path), cache=False).persistent
+    assert not RuntimeConfig(workers=4, backend="serial").parallel
 
 
 # ---------------------------------------------------------------------------

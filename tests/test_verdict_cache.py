@@ -4,8 +4,9 @@ Acceptance properties from the issue: cached verdicts are bit-identical to
 the cold path (scores exact after the JSON round trip, labels and metadata
 equal); a warm resubmission spends zero black-box queries; and two threads
 *and* two processes racing on one model fingerprint perform exactly one
-inspection.  Plus the policy boundaries: weighted-LRU eviction with decay,
-TTL expiry in both tiers, and detector-digest bumps invalidating entries.
+inspection.  Plus the policy boundaries: detector-digest bumps and
+precision switches miss, and verdict documents written with a ``created``
+stamp (before verdicts stopped carrying one) still load.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.models.registry import build_classifier
-from repro.runtime import AuditGateway, ShardedArtifactStore
+from repro.runtime import AuditGateway
 from repro.runtime.registry import DetectorSpec
 from repro.runtime.workers import AuditVerdict
 from repro.runtime.store import ArtifactStore
 from repro.runtime.verdict_cache import (
     VERDICT_KIND,
     VerdictCache,
-    detector_digest,
     model_fingerprint,
     verdict_cache_key,
 )
@@ -44,9 +44,9 @@ def make_verdict(name="vendor-0", score=0.625, accuracy=0.75, queries=48, calls=
     )
 
 
-def memory_cache(**kwargs):
+def memory_cache():
     """A cache with no persistence tier (disabled store)."""
-    return VerdictCache(store=ArtifactStore(None, enabled=False), **kwargs)
+    return VerdictCache(store=ArtifactStore(None))
 
 
 def disk_cache(tmp_path, **kwargs):
@@ -83,20 +83,8 @@ def test_cache_key_carries_all_three_coordinates():
     assert key == {"fingerprint": "fp", "detector_digest": "digest", "precision": "float32"}
 
 
-def test_detector_digest_tracks_threshold():
-    class FakeDetector:
-        threshold = 0.5
-        seed = 0
-
-    a = FakeDetector()
-    b = FakeDetector()
-    assert detector_digest(a) == detector_digest(b)
-    b.threshold = 0.9
-    assert detector_digest(a) != detector_digest(b)
-
-
 # ---------------------------------------------------------------------------
-# tiers: round trip, promotion, eviction, TTL
+# tiers: round trip, promotion, invalidation
 # ---------------------------------------------------------------------------
 
 def test_store_round_trip_is_bit_identical(tmp_path):
@@ -139,79 +127,35 @@ def test_served_verdicts_do_not_inherit_provenance(tmp_path):
     assert first.cache == "memory" and again.cache == "memory"
 
 
-def entry_nbytes():
-    """The memory-tier charge of one cached verdict, measured not assumed."""
-    probe = memory_cache()
-    probe.store_verdict(verdict_cache_key("probe", "d", "float64"), make_verdict())
-    return probe.memory_bytes
-
-
-def test_weighted_lru_evicts_cold_entries_first():
-    cache = memory_cache(max_bytes=int(2.5 * entry_nbytes()))  # room for 2
-    key_a = verdict_cache_key("a", "d", "float64")
-    key_b = verdict_cache_key("b", "d", "float64")
-    key_c = verdict_cache_key("c", "d", "float64")
-    cache.store_verdict(key_a, make_verdict("a"))
-    cache.store_verdict(key_b, make_verdict("b"))
-    for _ in range(3):  # hits weight a up; b stays at its insert weight
-        assert cache.lookup(key_a, "a") is not None
-    cache.store_verdict(key_c, make_verdict("c"))
-    assert cache.stats()["evictions"] >= 1
-    assert cache.lookup(key_b, "b") is None  # the cold entry was the victim
-    assert cache.lookup(key_a, "a") is not None
-    assert cache.lookup(key_c, "c") is not None
-
-
-def test_eviction_decays_weights_so_hot_entries_cool_off():
-    cache = memory_cache(max_bytes=int(2.5 * entry_nbytes()))
-    key_a = verdict_cache_key("a", "d", "float64")
-    cache.store_verdict(key_a, make_verdict("a"))
-    for _ in range(8):
-        cache.lookup(key_a, "a")
-    weight_before = next(iter(cache._entries.values())).weight
-    # churn fresh entries through: each eviction halves every weight
-    for marker in "bcde":
-        cache.store_verdict(verdict_cache_key(marker, "d", "float64"), make_verdict(marker))
-    weight_after = cache._entries[
-        next(d for d in cache._entries if cache._entries[d].verdict.name == "a")
-    ].weight
-    assert weight_after < weight_before
-
-
-def test_zero_byte_budget_disables_the_memory_tier(tmp_path):
-    cache = disk_cache(tmp_path, max_bytes=0)
+def test_verdicts_written_with_a_created_stamp_still_load(tmp_path):
+    """Verdict documents used to carry a ``created`` wall-clock stamp; the
+    reader ignores it, so a store written in that layout stays warm."""
+    store = ArtifactStore(tmp_path / "store")
     key = verdict_cache_key("fp", "digest", "float64")
-    cache.store_verdict(key, make_verdict())
-    assert cache.stats()["entries"] == 0
-    assert cache.lookup(key, "resub").cache == "store"  # persistence still works
-
-
-def test_ttl_expires_the_memory_tier():
-    now = [1000.0]
-    cache = memory_cache(ttl_seconds=60.0, clock=lambda: now[0])
-    key = verdict_cache_key("fp", "digest", "float64")
-    cache.store_verdict(key, make_verdict())
-    now[0] += 59.0
-    assert cache.lookup(key, "warm") is not None
-    now[0] += 2.0  # past the bound
-    assert cache.lookup(key, "stale") is None
-    assert cache.stats()["expirations"] == 1
-
-
-def test_ttl_expires_the_store_tier_and_reaudit_can_land(tmp_path):
-    now = [1000.0]
-    cache = disk_cache(tmp_path, ttl_seconds=60.0, clock=lambda: now[0])
-    key = verdict_cache_key("fp", "digest", "float64")
-    cache.store_verdict(key, make_verdict(score=0.25))
-    now[0] += 61.0
-    fresh = disk_cache(tmp_path, ttl_seconds=60.0, clock=lambda: now[0])
-    assert fresh.lookup(key, "stale") is None
-    assert fresh.stats()["expirations"] == 1
-    # the expired entry was deleted, so (first-wins open_write) the re-audit's
-    # fresh verdict actually persists instead of being silently discarded
-    assert not fresh.store.contains(VERDICT_KIND, key)
-    fresh.store_verdict(key, make_verdict(score=0.75))
-    assert disk_cache(tmp_path).lookup(key, "reaudited").backdoor_score == 0.75
+    minted = make_verdict(score=1.0 / 3.0, accuracy=2.0 / 7.0)
+    with store.open_write(VERDICT_KIND, key) as artifact:
+        artifact.save_json(
+            "verdict",
+            {
+                "format_version": 1,
+                "created": 1700000000.0,
+                "key": dict(key),
+                "payload": {
+                    "name": minted.name,
+                    "backdoor_score": minted.backdoor_score,
+                    "is_backdoored": minted.is_backdoored,
+                    "prompted_accuracy": minted.prompted_accuracy,
+                    "query_count": minted.query_count,
+                    "query_calls": minted.query_calls,
+                },
+            },
+        )
+    served = VerdictCache(store=store).lookup(key, "resubmitted")
+    assert served is not None
+    assert served.cache == "store"
+    assert served.backdoor_score == minted.backdoor_score  # exact, not approx
+    assert served.prompted_accuracy == minted.prompted_accuracy
+    assert served.query_count == minted.query_count
 
 
 def test_detector_refit_bumps_the_digest_and_misses(tmp_path):
@@ -236,32 +180,6 @@ def test_disabled_cache_is_inert(tmp_path):
     assert cache.lookup(key, "resub") is None
     computed = cache.get_or_compute(key, "resub", lambda: make_verdict(score=0.125))
     assert computed.backdoor_score == 0.125
-
-
-def test_runtime_knobs_reach_the_cache(tmp_path):
-    runtime = RuntimeConfig(
-        cache_dir=str(tmp_path),
-        verdict_cache=True,
-        verdict_cache_bytes=4096,
-        verdict_cache_ttl=30.0,
-    )
-    cache = VerdictCache(runtime=runtime)
-    assert cache.max_bytes == 4096
-    assert cache.ttl_seconds == 30.0
-    assert cache.store.enabled
-
-
-def test_sharded_store_delete_removes_every_replica(tmp_path):
-    store = ShardedArtifactStore([tmp_path / "s0", tmp_path / "s1"])
-    key = verdict_cache_key("fp", "d", "float64")
-    # plant the artifact on BOTH shards (a rebalance-era stray replica):
-    # delete must remove every copy or the stray resurrects the entry
-    for shard in store.shards:
-        with shard.open_write(VERDICT_KIND, key) as artifact:
-            artifact.save_json("verdict", {"payload": "stray"})
-    assert store.delete(VERDICT_KIND, key)
-    assert not store.contains(VERDICT_KIND, key)
-    assert all(not shard.contains(VERDICT_KIND, key) for shard in store.shards)
 
 
 # ---------------------------------------------------------------------------
