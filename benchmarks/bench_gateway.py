@@ -5,7 +5,7 @@ DetectorRegistry` (two architecture families on two suspicious tasks), builds
 a mixed vendor catalogue, then screens it twice:
 
 * **baseline** — one batch ``BpromDetector.inspect_many(keys=...)`` fan-out
-  per tenant on the runtime's ``ParallelExecutor``, run back to back: no
+  per tenant on a worker pool opened from the runtime, run back to back: no
   verdict until the first tenant's whole batch finishes, and the second
   tenant waits for the first;
 * **gateway** — one ``AuditGateway.stream`` over the interleaved submissions:
@@ -62,7 +62,7 @@ from repro.models.registry import build_classifier
 from repro.obs import get_tracer
 from repro.obs.export import export_jsonl, export_metrics
 from repro.obs.report import queries_per_verdict, render_report, stage_summary
-from repro.runtime import AuditGateway, DetectorRegistry, ParallelExecutor
+from repro.runtime import AuditGateway, DetectorRegistry
 from repro.runtime.registry import DetectorSpec
 
 
@@ -148,15 +148,11 @@ def main() -> None:
     catalogue_b = build_catalogue(profile, args.arch_b, train_b, args.models, seed=2000)
 
     print("baseline (two sequential inspect_many runs):")
-    executor = ParallelExecutor.from_config(runtime)
+    # each call fans out on a pool opened from the registry's runtime
     start = time.perf_counter()
-    report_a = entry_a.detector.inspect_many(
-        list(catalogue_a.values()), executor=executor, keys=list(catalogue_a)
-    )
+    report_a = entry_a.detector.inspect_many(list(catalogue_a.values()), keys=list(catalogue_a))
     baseline_first_s = time.perf_counter() - start  # nothing lands before batch A ends
-    report_b = entry_b.detector.inspect_many(
-        list(catalogue_b.values()), executor=executor, keys=list(catalogue_b)
-    )
+    report_b = entry_b.detector.inspect_many(list(catalogue_b.values()), keys=list(catalogue_b))
     baseline_total_s = time.perf_counter() - start
     print(f"  total {baseline_total_s:8.2f}s   first verdict {baseline_first_s:8.2f}s")
 

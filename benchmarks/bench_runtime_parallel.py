@@ -29,7 +29,7 @@ from repro.core.shadow import ShadowModelFactory
 from repro.config import get_profile
 from repro.datasets.registry import load_dataset
 from repro.models.registry import build_classifier
-from repro.runtime import ParallelExecutor
+from repro.runtime import WorkerPool
 
 
 def _time(label: str, fn):
@@ -55,7 +55,13 @@ def main() -> None:
     args = parser.parse_args()
 
     profile = get_profile(args.profile)
-    executor = ParallelExecutor(args.workers, args.backend)
+
+    def fan_out(tasks, run):
+        # each timed parallel run opens (and pays for) its own pool, never
+        # wider than its task count
+        with WorkerPool(min(args.workers, tasks), args.backend) as pool:
+            return run(pool)
+
     train, test = load_dataset("cifar10", profile, seed=args.seed)
     target_train, target_test = load_dataset("stl10", profile, seed=args.seed)
 
@@ -78,7 +84,9 @@ def main() -> None:
     )
     parallel_pool, shadow_parallel_s = _time(
         f"parallel ({args.workers} workers)",
-        lambda: factory.build_pool(test, executor=executor),
+        lambda: fan_out(
+            profile.total_shadow_models, lambda pool: factory.build_pool(test, executor=pool)
+        ),
     )
     for left, right in zip(sequential_pool, parallel_pool):
         for p, q in zip(left.classifier.model.parameters(), right.classifier.model.parameters()):
@@ -106,7 +114,7 @@ def main() -> None:
     )
     batch_results, parallel_s = _time(
         f"parallel ({args.workers} workers)",
-        lambda: detector.inspect_many(fleet, executor=executor),
+        lambda: fan_out(len(fleet), lambda pool: detector.inspect_many(fleet, executor=pool)),
     )
     batch_scores = [result.backdoor_score for result in batch_results]
     assert batch_scores == sequential_scores, "parallel scores must match sequential"

@@ -5,7 +5,8 @@ Two contracts:
 * every field of a config dataclass that ships a ``from_env`` classmethod must
   be wired to a ``REPRO_<FIELD>`` environment variable and documented in the
   ``from_env`` docstring — a new knob cannot silently miss its env plumbing
-  (K101/K102/K103);
+  (K101/K102/K103) — and ``from_env`` is the only place a ``REPRO_*``
+  variable is read, so no setting has a second precedence path (K104);
 * artifact/registry key builders only add a ``"precision"`` entry *off* the
   float64 reference tier, so every hash minted before the precision split
   stays warm while the tiers can never share an artifact (K201);
@@ -150,6 +151,56 @@ class ConfigEnvDocDrift(Rule):
                     f"{env} is documented in the from_env docstring but never "
                     "read — stale documentation",
                 )
+
+
+#: the calls that read one environment variable by name
+_ENV_READ_CALLS = ("os.environ.get", "os.getenv")
+
+
+def _env_read(module: LintModule, node: ast.AST) -> Optional[str]:
+    """The literal ``REPRO_*`` name ``node`` reads from the environment, if
+    it is an ``os.environ.get``/``os.getenv`` call or an ``os.environ[...]``
+    load."""
+    if isinstance(node, ast.Call) and node.args:
+        if module.canonical(node.func) not in _ENV_READ_CALLS:
+            return None
+        name = node.args[0]
+    elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+        if module.canonical(node.value) != "os.environ":
+            return None
+        name = node.slice
+    else:
+        return None
+    if isinstance(name, ast.Constant) and isinstance(name.value, str):
+        if _ENV_RE.fullmatch(name.value):
+            return name.value
+    return None
+
+
+@register
+class EnvReadOutsideFromEnv(Rule):
+    id = "K104"
+    name = "env-read-outside-from-env"
+    summary = (
+        "REPRO_* variables are read only in a config dataclass's from_env, so "
+        "each setting has one precedence path"
+    )
+
+    def check(self, module: LintModule) -> Iterable[Finding]:
+        readers = {id(fn) for _cls, fn in _iter_env_dataclasses(module)}
+        for node in ast.walk(module.tree):
+            name = _env_read(module, node)
+            if name is None:
+                continue
+            if any(id(ancestor) in readers for ancestor in module.ancestors(node)):
+                continue
+            yield module.finding(
+                self,
+                node,
+                f"{name} is read outside a config dataclass's from_env: a "
+                "second read gives the setting a second precedence path; "
+                "take it from the config object instead",
+            )
 
 
 @register

@@ -236,28 +236,25 @@ PRECISIONS = ("float64", "float32")
 
 
 def resolve_precision(explicit: Optional[str] = None) -> str:
-    """Collapse an optional explicit precision and the environment to a tier.
+    """Collapse an optional explicit precision to a tier.
 
-    Precedence: an explicit value wins, then the ``REPRO_PRECISION``
-    environment variable, then the ``"float64"`` reference tier.  Raises a
-    :class:`ValueError` naming the offending source on an unknown tier.
+    ``None`` is the ``"float64"`` reference tier.  The environment is never
+    consulted here: ``REPRO_PRECISION`` reaches the code only through
+    :meth:`RuntimeConfig.from_env`, so a component built without a precision
+    trains in the tier its cache keys assume.  Raises a :class:`ValueError`
+    on an unknown tier.
     """
-    source = "precision"
-    value = explicit
-    if value is None:
-        source = "REPRO_PRECISION"
-        value = os.environ.get("REPRO_PRECISION") or None
-    if value is None:
+    if explicit is None:
         return "float64"
-    value = str(value).lower()
+    value = str(explicit).lower()
     if value not in PRECISIONS:
-        raise ValueError(f"{source} must be one of {PRECISIONS}, got {value!r}")
+        raise ValueError(f"precision must be one of {PRECISIONS}, got {value!r}")
     return value
 
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Execution knobs for the staged pipeline runtime (:mod:`repro.runtime`).
+    """Execution knobs for the pipeline runtime (:mod:`repro.runtime`).
 
     Orthogonal to :class:`ExperimentProfile`: the profile decides *what* is
     trained, the runtime config decides *how* — how many workers fan out the
@@ -281,11 +278,10 @@ class RuntimeConfig:
     cache_dir: Optional[str] = None
     #: how shadow pools are trained: "stacked" runs K same-architecture
     #: shadows as one model-axis computation (:mod:`repro.nn.stacked`),
-    #: "sequential" trains them one by one, and "auto" defers to the
-    #: ``REPRO_SHADOW_TRAINING`` env var and then to a per-architecture-family
-    #: policy (stack the overhead-bound transformer pools, keep cache-bound
-    #: CNN/MLP pools sequential).  Both modes produce the same pool, so
-    #: artifact-store keys do not depend on this.
+    #: "sequential" trains them one by one, and "auto" applies a
+    #: per-architecture-family policy (stack the overhead-bound transformer
+    #: pools, keep cache-bound CNN/MLP pools sequential).  Both modes produce
+    #: the same pool, so artifact-store keys do not depend on this.
     shadow_training: str = "auto"
     #: training dtype tier for shadow pools and detectors ("float64" |
     #: "float32"); every artifact-store key derived from a non-default tier

@@ -1,14 +1,14 @@
 """BpromDetector — the end-to-end public API of the reproduction.
 
 ``fit`` runs the BPROM training pipeline (shadow -> prompt -> meta) on the
-staged runtime from :mod:`repro.runtime`: the shadow-training and prompting
-stages fan out over a :class:`~repro.runtime.executor.ParallelExecutor` and
-are individually cached in a persistent
-:class:`~repro.runtime.store.ArtifactStore` when a
-:class:`~repro.config.RuntimeConfig` with a cache directory is supplied.  A
-fitted detector round-trips through :meth:`save`/:meth:`load` with
-bit-identical scores, which is what allows one training run to serve many
-audit requests across processes (see :class:`repro.runtime.gateway.AuditGateway`).
+runtime from :mod:`repro.runtime`: the shadow-training and prompting stages
+fan out over one :class:`~repro.runtime.executor.WorkerPool` and are each
+memoised by :meth:`~repro.runtime.store.ArtifactStore.fetch` in a persistent
+store when a :class:`~repro.config.RuntimeConfig` with a cache directory is
+supplied.  A fitted detector round-trips through :meth:`save`/:meth:`load`
+with bit-identical scores, which is what allows one training run to serve
+many audit requests across processes (see
+:class:`repro.runtime.gateway.AuditGateway`).
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from repro.models.classifier import ImageClassifier
 from repro.obs.trace import get_tracer
 from repro.prompting.blackbox import QueryCounter, QueryFunction
 from repro.prompting.prompted import PromptedClassifier
-from repro.runtime.executor import ParallelExecutor
-from repro.runtime.pipeline import Stage, StagedPipeline, StageReport
+from repro.runtime.executor import WorkerPool
 from repro.runtime.store import (
     Artifact,
     ArtifactStore,
@@ -143,14 +142,9 @@ class BpromDetector:
         )
         self.shadow_models: List[ShadowModel] = []
         self.prompted_shadows: List[PromptedClassifier] = []
-        #: per-stage execution records of the last :meth:`fit` (empty on a
-        #: freshly constructed or loaded detector; the registry reads these
-        #: to report what a ``get_or_fit`` actually rebuilt vs. reused)
-        self.stage_reports: List["StageReport"] = []
         self._target_train: Optional[ImageDataset] = None
         self._fitted = False
         self._store = ArtifactStore.from_config(self.runtime)
-        self._executor = ParallelExecutor.from_config(self.runtime)
 
     # -- training -----------------------------------------------------------------
     def _base_key(self, reserved_clean: Optional[ImageDataset]) -> dict:
@@ -192,81 +186,73 @@ class BpromDetector:
         """
         self._target_train = target_train
         base_key = self._base_key(reserved_clean)
-
-        def build_shadows(_results) -> List[ShadowModel]:
-            if shadow_models is not None:
-                return list(shadow_models)
-            factory = ShadowModelFactory(
-                profile=self.profile,
-                architecture=self.architecture,
-                shadow_attack=self.shadow_attack,
-                seed=derive_seed(self.seed, "shadows"),
-                training_mode=self.runtime.shadow_training,
-                precision=self.runtime.precision,
+        count = self.profile.total_shadow_models if shadow_models is None else len(shadow_models)
+        # one pool serves both fan-out stages; the meta fit runs after it
+        # closes, outside its BLAS cap
+        with WorkerPool.from_config(self.runtime, tasks=count) as workers:
+            if shadow_models is None:
+                factory = ShadowModelFactory(
+                    profile=self.profile,
+                    architecture=self.architecture,
+                    shadow_attack=self.shadow_attack,
+                    seed=derive_seed(self.seed, "shadows"),
+                    training_mode=self.runtime.shadow_training,
+                    precision=self.runtime.precision,
+                )
+                pool = self._fetch_stage(
+                    "shadow",
+                    "shadow-pool",
+                    {**base_key, "stage": "shadow"},
+                    build=lambda: factory.build_pool(reserved_clean, executor=workers),
+                    save=ser.save_shadow_pool,
+                    load=ser.load_shadow_pool,
+                )
+            else:
+                # an externally supplied pool is keyed by content instead:
+                # its fingerprint feeds the prompt-stage key below
+                with get_tracer().span("fit.shadow", cached=False):
+                    pool = list(shadow_models)
+            if not pool:
+                raise ValueError("cannot fit BPROM with an empty shadow-model pool")
+            prompt_key = {
+                **base_key,
+                "stage": "prompt",
+                "target_train": dataset_fingerprint(target_train),
+                "shadow_pool": _shadow_pool_fingerprint(pool),
+            }
+            prompted = self._fetch_stage(
+                "prompt",
+                "prompted-shadows",
+                prompt_key,
+                build=lambda: prompt_shadow_models(
+                    pool,
+                    target_train,
+                    profile=self.profile,
+                    seed=derive_seed(self.seed, "prompting"),
+                    executor=workers,
+                ),
+                save=ser.save_prompted_pool,
+                load=lambda artifact: ser.load_prompted_pool(
+                    artifact, [shadow.classifier for shadow in pool]
+                ),
             )
-            return factory.build_pool(reserved_clean, executor=self._executor)
-
-        def build_prompts(results) -> List[PromptedClassifier]:
-            return prompt_shadow_models(
-                results["shadow"],
-                target_train,
-                profile=self.profile,
-                seed=derive_seed(self.seed, "prompting"),
-                executor=self._executor,
-            )
-
-        def build_meta(results) -> MetaClassifier:
+        with get_tracer().span("fit.meta", cached=False):
             self.meta_classifier.set_query_pool(target_test)
-            labels = [int(shadow.is_backdoored) for shadow in results["shadow"]]
-            self.meta_classifier.fit(results["prompt"], labels)
-            return self.meta_classifier
-
-        # the shadow stage is only addressable when this detector trains the
-        # pool itself; externally supplied pools are keyed by content instead
-        # (their fingerprint feeds the prompt-stage key below)
-        shadow_stage = Stage(
-            "shadow",
-            build=build_shadows,
-            kind="shadow-pool" if shadow_models is None else None,
-            key={**base_key, "stage": "shadow"} if shadow_models is None else None,
-            save=lambda artifact, pool: ser.save_shadow_pool(artifact, pool),
-            load=lambda artifact, _results: ser.load_shadow_pool(artifact),
-        )
-        pipeline = StagedPipeline([shadow_stage], store=self._store)
-        results = pipeline.run()
-        pool = results["shadow"]
-        if not pool:
-            raise ValueError("cannot fit BPROM with an empty shadow-model pool")
-
-        prompt_key = {
-            **base_key,
-            "stage": "prompt",
-            "target_train": dataset_fingerprint(target_train),
-            "shadow_pool": _shadow_pool_fingerprint(pool),
-        }
-        prompt_stage = Stage(
-            "prompt",
-            build=lambda r: build_prompts({"shadow": pool}),
-            kind="prompted-shadows",
-            key=prompt_key,
-            save=lambda artifact, prompted: ser.save_prompted_pool(artifact, prompted),
-            load=lambda artifact, _results: ser.load_prompted_pool(
-                artifact, [shadow.classifier for shadow in pool]
-            ),
-        )
-        meta_stage = Stage(
-            "meta",
-            build=lambda r: build_meta({"shadow": pool, "prompt": r["prompt"]}),
-        )
-        tail = StagedPipeline([prompt_stage, meta_stage], store=self._store)
-        tail_results = tail.run()
-        pipeline.reports.extend(tail.reports)
-        self.stage_reports = pipeline.reports
+            self.meta_classifier.fit(prompted, [int(shadow.is_backdoored) for shadow in pool])
 
         self.shadow_models = pool
-        self.prompted_shadows = tail_results["prompt"]
+        self.prompted_shadows = prompted
         self._fitted = True
         return self
+
+    def _fetch_stage(self, name: str, kind: str, key: dict, build, save, load):
+        """One cacheable fit stage: a store ``fetch`` under its ``fit.<name>``
+        span, which records whether the stage loaded."""
+        with get_tracer().span(f"fit.{name}") as span:
+            hits = self._store.hits
+            value = self._store.fetch(kind, key, build, save=save, load=load)
+            span.set(cached=self._store.hits > hits)
+        return value
 
     # -- persistence ----------------------------------------------------------------
     def save(self, path: Union[str, Path]) -> Path:
@@ -436,7 +422,7 @@ class BpromDetector:
         suspicious_models: Sequence[ImageClassifier],
         query_functions: Optional[Sequence[Optional[QueryFunction]]] = None,
         target_eval: Optional[ImageDataset] = None,
-        executor: Optional[ParallelExecutor] = None,
+        executor: Optional[WorkerPool] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
     ) -> List[DetectionResult]:
         """Inspect a fleet of suspicious models, prompting them concurrently.
@@ -445,7 +431,8 @@ class BpromDetector:
         entry (the catalogue key in a batch audit), falling back to the model
         name, so the results are identical to calling :meth:`inspect`
         sequentially with the same keys — the fan-out only changes wall-clock
-        time.
+        time.  The fan-out runs on ``executor`` when given, otherwise on a
+        pool opened from the detector's runtime for this call.
         """
         if not self._fitted:
             raise RuntimeError("fit must be called before inspecting models")
@@ -457,14 +444,17 @@ class BpromDetector:
             query_functions = [None] * len(suspicious_models)
         if keys is None:
             keys = [None] * len(suspicious_models)
-        executor = executor if executor is not None else self._executor
         items = list(zip(suspicious_models, query_functions, keys))
-        return executor.map(partial(_inspect_task, self, target_eval), items)
+        task = partial(_inspect_task, self, target_eval)
+        if executor is not None:
+            return executor.map(task, items)
+        with WorkerPool.from_config(self.runtime, tasks=len(items)) as pool:
+            return pool.map(task, items)
 
     def score_models(
         self,
         suspicious_models: Sequence[ImageClassifier],
-        executor: Optional[ParallelExecutor] = None,
+        executor: Optional[WorkerPool] = None,
     ) -> np.ndarray:
         """Backdoor scores for a batch of suspicious models (used for AUROC)."""
         results = self.inspect_many(suspicious_models, executor=executor)

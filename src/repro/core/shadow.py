@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
@@ -79,8 +78,7 @@ class ShadowModelFactory:
     ``training_mode`` selects how :meth:`build_pool` trains the pool:
     ``"stacked"`` lifts the K same-architecture shadows into one model-axis
     computation (:mod:`repro.nn.stacked`), ``"sequential"`` trains them one by
-    one, and ``"auto"``/``None`` defers to the ``REPRO_SHADOW_TRAINING``
-    environment variable and then to a measured per-family policy: stacking
+    one, and ``"auto"``/``None`` applies a measured per-family policy: stacking
     fuses Python/numpy dispatch overhead, which dominates the transformer
     zoo's many small token-space ops (1.2-4x pools), but K-fold-inflates the
     cache working set of the CNN/MLP pools, whose time is spent in
@@ -89,6 +87,10 @@ class ShadowModelFactory:
     poisoning and shuffle order are identical in both modes, so the resulting
     pools — and the artifact-store keys derived from them — are
     interchangeable.
+
+    ``precision`` ``None`` is the float64 reference tier.  Neither knob reads
+    the environment: ``REPRO_SHADOW_TRAINING`` and ``REPRO_PRECISION`` reach
+    a factory only through :meth:`repro.config.RuntimeConfig.from_env`.
     """
 
     def __init__(
@@ -118,16 +120,12 @@ class ShadowModelFactory:
     def _resolve_training_mode(self) -> Tuple[str, bool]:
         """Resolved ``(mode, from_auto)`` — ``from_auto`` marks a policy pick.
 
-        Precedence: an explicit constructor mode wins, then the
-        ``REPRO_SHADOW_TRAINING`` environment variable, then the automatic
-        per-family policy (stack transformer pools, train CNN/MLP pools
-        sequentially — see the class docstring for the measured rationale).
+        An explicit ``"stacked"``/``"sequential"`` wins; ``None`` and
+        ``"auto"`` apply the per-family policy (stack transformer pools, train
+        CNN/MLP pools sequentially — see the class docstring for the measured
+        rationale).
         """
-        mode = self.training_mode
-        if mode is not None:
-            mode = str(mode).lower()
-        if mode is None or mode == "auto":
-            mode = (os.environ.get("REPRO_SHADOW_TRAINING") or "auto").lower()
+        mode = "auto" if self.training_mode is None else str(self.training_mode).lower()
         if mode not in SHADOW_TRAINING_MODES:
             raise ValueError(
                 f"unknown shadow training mode {mode!r}; "
@@ -139,7 +137,7 @@ class ShadowModelFactory:
         return mode, False
 
     def resolve_training_mode(self) -> str:
-        """Collapse ``training_mode`` (and the env override) to a concrete mode."""
+        """Collapse ``training_mode`` to a concrete mode."""
         return self._resolve_training_mode()[0]
 
     # -- spec preparation (shared by both training paths) -----------------------
@@ -243,7 +241,7 @@ class ShadowModelFactory:
         """Train the full pool of shadow models (clean ones first).
 
         Each shadow model's seed is derived from its (kind, index) identity,
-        so fanning the pool out over a :class:`repro.runtime.ParallelExecutor`
+        so fanning the pool out over a :class:`repro.runtime.WorkerPool`
         produces exactly the same pool as the sequential loop.  An explicit
         ``"stacked"`` mode trains the whole pool as one model-axis
         computation instead (the executor is bypassed — there is only one

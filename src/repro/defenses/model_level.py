@@ -8,8 +8,7 @@ rather than through visual prompting.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -107,8 +106,8 @@ class MNTDDefense(ModelLevelDefense):
         self.num_queries = int(num_queries)
         #: precision tier the shadow pool trains in (see RuntimeConfig.precision)
         self.precision = resolve_precision(precision)
-        #: hard-decision threshold on the meta-probability (used by services
-        #: that need a verdict rather than a raw score, e.g. the audit gateway)
+        #: hard-decision threshold on the meta-probability, for callers that
+        #: need a verdict rather than a raw score
         self.threshold = float(threshold)
         self.seed = seed if isinstance(seed, int) else 0
         self.shadow_models: List[ShadowModel] = []
@@ -179,37 +178,3 @@ class MNTDDefense(ModelLevelDefense):
         feature = classifier.predict_proba(self._query_images).ravel()[None, :]
         probabilities = self._meta.predict_proba(feature)
         return float(probabilities[0, 1] if probabilities.shape[1] > 1 else probabilities[0, 0])
-
-    # -- persistence ----------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> Path:
-        """Persist the fitted defense (query images + meta forest) to a directory.
-
-        The round trip through :meth:`load` produces bit-identical
-        :meth:`score_model` outputs, which is what lets one MNTD fit serve
-        audits across processes through the detector registry — the same
-        cross-process reuse ``BpromDetector.save``/``load`` provides for
-        BPROM.
-        """
-        # imported lazily: the runtime serialization layer imports model
-        # registries, which must not become an import-time dependency of the
-        # defenses package
-        from repro.runtime.serialization import save_mntd_defense
-        from repro.runtime.store import Artifact
-
-        directory = Path(path)
-        directory.mkdir(parents=True, exist_ok=True)
-        save_mntd_defense(Artifact(directory), self)
-        return directory
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "MNTDDefense":
-        """Restore a defense saved by :meth:`save`; scores are bit-identical.
-
-        Shadow classifiers are training-time artefacts and are not stored;
-        ``shadow_models`` is empty on a loaded defense (exactly like a loaded
-        ``BpromDetector``), but :meth:`score_model` serves immediately.
-        """
-        from repro.runtime.serialization import load_mntd_defense
-        from repro.runtime.store import Artifact
-
-        return load_mntd_defense(Artifact(Path(path)))

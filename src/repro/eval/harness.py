@@ -16,8 +16,9 @@ prompted suspicious models).  Caching is two-tier:
   skip all training.
 
 The embarrassingly-parallel builds (shadow pools, suspicious-model zoos)
-additionally fan out over the context's
-:class:`~repro.runtime.executor.ParallelExecutor` when ``workers > 1``.
+additionally fan out over a :class:`~repro.runtime.executor.WorkerPool`
+opened for each build when ``workers > 1``.  The context holds no pool: it is
+pickled into process workers, and a pool's lock does not pickle.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.models.classifier import ImageClassifier
 from repro.models.registry import build_classifier
 from repro.prompting.prompted import PromptedClassifier
 from repro.runtime import serialization as ser
-from repro.runtime.executor import ParallelExecutor
+from repro.runtime.executor import WorkerPool
 from repro.runtime.store import MISS, ArtifactStore, state_fingerprint
 from repro.utils.rng import derive_seed, new_rng
 
@@ -92,7 +93,6 @@ class ExperimentContext:
         self.seed = int(seed)
         self.runtime = runtime
         self.store = ArtifactStore.from_config(runtime)
-        self.executor = ParallelExecutor.from_config(runtime)
         self._datasets: Dict[Tuple, Tuple[ImageDataset, ImageDataset]] = {}
         self._reserved: Dict[Tuple, ImageDataset] = {}
         self._suspicious: Dict[Tuple, SuspiciousModel] = {}
@@ -299,7 +299,8 @@ class ExperimentContext:
         if missing:
             # datasets are shared state: materialise them before fanning out
             self.datasets(dataset_name)
-            built = self.executor.map(partial(_build_suspicious_entry, self), missing)
+            with WorkerPool.from_config(self.runtime, tasks=len(missing)) as pool:
+                built = pool.map(partial(_build_suspicious_entry, self), missing)
             for key, entry in zip(missing, built):
                 self._suspicious[key] = entry
         return [self._suspicious[key] for key in keys]
@@ -332,15 +333,21 @@ class ExperimentContext:
                 num_clean=num_clean,
                 num_backdoor=num_backdoor,
             )
+            clean = self.profile.clean_shadow_models if num_clean is None else num_clean
+            backdoor = (
+                self.profile.backdoor_shadow_models if num_backdoor is None else num_backdoor
+            )
+
+            def build() -> List[ShadowModel]:
+                with WorkerPool.from_config(self.runtime, tasks=clean + backdoor) as pool:
+                    return factory.build_pool(
+                        reserved, num_clean=clean, num_backdoor=backdoor, executor=pool
+                    )
+
             self._shadow_pools[key] = self.store.fetch(
                 "shadow-pool",
                 store_key,
-                build=lambda: factory.build_pool(
-                    reserved,
-                    num_clean=num_clean,
-                    num_backdoor=num_backdoor,
-                    executor=self.executor,
-                ),
+                build=build,
                 save=ser.save_shadow_pool,
                 load=ser.load_shadow_pool,
             )

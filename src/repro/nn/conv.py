@@ -55,7 +55,8 @@ _IMPLICIT_MIN_COLS_BYTES = 1 << 18
 
 def conv_engine_override() -> str:
     """The process-wide conv engine override from ``REPRO_CONV_ENGINE``."""
-    engine = (os.environ.get("REPRO_CONV_ENGINE") or "auto").lower()
+    engine = os.environ.get("REPRO_CONV_ENGINE")  # repro-lint: disable=K104 -- a test and benchmark override, not a runtime knob
+    engine = (engine or "auto").lower()
     if engine not in CONV_ENGINES:
         raise ValueError(
             f"REPRO_CONV_ENGINE must be one of {CONV_ENGINES}, got {engine!r}"

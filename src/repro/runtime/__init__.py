@@ -1,19 +1,21 @@
-"""Staged pipeline runtime: persistence, parallelism and audit serving.
+"""Pipeline runtime: persistence, parallelism and audit serving.
 
 The runtime layer turns the BPROM pipeline into a production-shaped system:
 
 * :class:`~repro.runtime.store.ArtifactStore` — a content-addressed,
   disk-backed cache for trained models, prompts and fitted detectors, keyed
-  on profile/seed/config hashes so artefacts survive process restarts.
-* :class:`~repro.runtime.executor.ParallelExecutor` — deterministic fan-out
-  of the embarrassingly-parallel stages (shadow training, prompting,
-  suspicious-model inspection) over thread or process pools.
-* :class:`~repro.runtime.pipeline.StagedPipeline` — the stage graph
-  (shadow -> prompt -> meta -> inspect) with per-stage caching and reports.
+  on profile/seed/config hashes so artefacts survive process restarts.  Its
+  ``fetch`` memoises each of ``BpromDetector.fit``'s cacheable stages
+  (shadow pool, prompted shadows).
+* :class:`~repro.runtime.executor.WorkerPool` — the one pool class:
+  deterministic ordered ``map`` for the embarrassingly-parallel stages
+  (shadow training, prompting, suspicious-model inspection) and counted
+  ``submit`` for the gateway's audits, over thread, process or serial
+  backends.
 * :class:`~repro.runtime.registry.DetectorRegistry` — a store-backed
-  catalogue of fitted detectors (BPROM and MNTD) with cross-process
-  single-flight fitting (advisory lock files, stale takeover) and an
-  in-memory map of loaded detectors.
+  catalogue of fitted BPROM detectors with cross-process single-flight
+  fitting (advisory lock files, stale takeover) and an in-memory map of
+  loaded detectors.
 * :class:`~repro.runtime.gateway.AuditGateway` — the one serving path:
   routes a mixed model stream to per-tenant detectors, serves warm verdicts
   from the cache, runs each cold audit as one task on the shared worker pool
@@ -25,18 +27,16 @@ The runtime layer turns the BPROM pipeline into a production-shaped system:
   refit invalidation through the detector digest in the key and in-flight
   dedup (futures in-process, advisory locks across processes), amortising
   the query budget over redundant fleet traffic.
-* :class:`~repro.runtime.workers.WorkerPool` — the gateway's shared tenant
-  worker pool (thread / process / serial backends); process workers hydrate
-  detectors from the shared store through pickle-cheap
+* :mod:`~repro.runtime.workers` — the gateway's pool tasks; process
+  workers hydrate detectors from the shared store through pickle-cheap
   :class:`~repro.runtime.workers.DetectorRef` addresses — warm-loading,
   never refitting — for true multi-core fleet throughput.
 
 See ARCHITECTURE.md at the repository root for the full design.
 """
 
-from repro.runtime.executor import ParallelExecutor
+from repro.runtime.executor import WorkerPool
 from repro.runtime.locks import AdvisoryLock, LockTimeout
-from repro.runtime.pipeline import Stage, StagedPipeline, StageReport
 from repro.runtime.store import (
     Artifact,
     ArtifactStore,
@@ -58,10 +58,6 @@ __all__ = [
     "GatewayVerdict",
     "LockTimeout",
     "RegistryEntry",
-    "ParallelExecutor",
-    "Stage",
-    "StagedPipeline",
-    "StageReport",
     "TenantProvisioner",
     "VerdictCache",
     "WorkerPool",
@@ -84,7 +80,6 @@ _LAZY = {
     "GatewayVerdict": "repro.runtime.gateway",
     "TenantProvisioner": "repro.runtime.gateway",
     "DetectorRef": "repro.runtime.workers",
-    "WorkerPool": "repro.runtime.workers",
     "VerdictCache": "repro.runtime.verdict_cache",
     "model_fingerprint": "repro.runtime.verdict_cache",
     "verdict_cache_key": "repro.runtime.verdict_cache",

@@ -2,11 +2,11 @@
 
 The serve path below this module scales one detector (batched queries,
 stacked pools); the gateway scales *tenants*.  An MLaaS auditor receives
-heterogeneous suspicious models — different architecture families, datasets,
-requested defenses — and the gateway:
+heterogeneous suspicious models — different architecture families and
+datasets — and the gateway:
 
 * **routes** each ``(key, model, metadata)`` submission to its tenant's
-  detector, matching on requested defense, architecture family
+  detector, matching on architecture family
   (:func:`repro.models.registry.architecture_family`) and dataset
   fingerprint;
 * **loads or fits** each tenant's detector through the
@@ -14,7 +14,7 @@ requested defenses — and the gateway:
   fleet-wide, zero training on a warm store;
 * **serves** each submission through one path: route → verdict-cache lookup
   or in-flight follow → budget slot → cache claim → one task on the shared
-  :class:`~repro.runtime.workers.WorkerPool` → harvest.  Only a cold leader
+  :class:`~repro.runtime.executor.WorkerPool` → harvest.  Only a cold leader
   takes a slot of the shared ``max_in_flight`` budget and becomes a pool
   task, so a burst on one tenant cannot starve the process of memory;
 * **merges** every tenant's verdicts into a single completion-ordered
@@ -44,16 +44,15 @@ from repro.obs.clock import now
 from repro.obs.metrics import QUERY_BUCKETS, MetricsRegistry, merge_snapshots
 from repro.obs.trace import TraceContext, get_tracer, new_id, rebased
 from repro.prompting.blackbox import QueryFunction
+from repro.runtime.executor import WorkerPool
 from repro.runtime.registry import DetectorRegistry, DetectorSpec, RegistryEntry
 from repro.runtime.store import dataset_fingerprint
 from repro.runtime.verdict_cache import VerdictCache
 from repro.runtime.workers import (
     AuditVerdict,
     DetectorRef,
-    WorkerPool,
     _audit_task,
     _cached_audit_task,
-    _mntd_audit_task,
     _traced_task,
 )
 
@@ -93,8 +92,6 @@ class Tenant:
     #: what a pool task audits against: the fitted detector, or on the
     #: process backend its pickle-cheap :class:`DetectorRef`
     detector: Any
-    #: MNTD's clean data (the shadow-pool data it scores models on)
-    clean_data: Optional[ImageDataset] = None
     accepted: int = 0
     rejected: int = 0
     #: black-box queries actually spent (cold inspections only — warm
@@ -121,8 +118,6 @@ class Tenant:
         self, key: str, model: ImageClassifier, query_function: Optional[QueryFunction]
     ) -> tuple:
         """The ``(fn, *args)`` pool task one cold audit of ``model`` runs."""
-        if self.defense == "mntd":
-            return (_mntd_audit_task, self.detector, self.clean_data, key, model)
         return (_audit_task, self.detector, key, model, query_function)
 
 
@@ -132,17 +127,17 @@ class TenantProvisioner:
 
     Without a provisioner, an unroutable submission raises ``KeyError``.
     With one, the gateway derives a :class:`DetectorSpec` from the
-    submission's metadata (architecture, and defense when given; everything
-    else from ``template``) and registers the tenant on the spot — the fit
+    submission's metadata (architecture and defense; everything else from
+    ``template``) and registers the tenant on the spot — the fit
     goes through :meth:`DetectorRegistry.get_or_fit`, so N racing gateways
     (threads or whole processes over one store) provisioning the same spec
     still perform exactly one fit under the registry's single-flight lock.
     """
 
     #: the suspicious task's reserved clean data every provisioned tenant
-    #: answers for (BPROM's D_S / MNTD's shadow-pool data)
+    #: answers for (BPROM's D_S)
     reserved_clean: ImageDataset
-    #: BPROM target-domain datasets; a bprom template requires both
+    #: BPROM target-domain datasets; fitting requires both
     target_train: Optional[ImageDataset] = None
     target_test: Optional[ImageDataset] = None
     #: defaults for every spec field the metadata does not override
@@ -259,8 +254,8 @@ class AuditGateway:
         The detector comes through the registry, so registering the same
         tenant in a second gateway process performs zero training on a warm
         store.  The tenant answers for models whose metadata carries the
-        fingerprint of ``reserved_clean`` (the suspicious task's data) —
-        and, for BPROM, of the target datasets too.
+        fingerprint of ``reserved_clean`` (the suspicious task's data) or
+        of one of the target datasets.
         """
         if tenant_id in self._tenants:
             raise ValueError(f"tenant {tenant_id!r} is already registered")
@@ -287,7 +282,6 @@ class AuditGateway:
             entry=entry,
             fingerprints=tuple(fingerprints),
             detector=detector,
-            clean_data=reserved_clean if spec.defense == "mntd" else None,
         )
         with self._lock:
             # re-checked under the lock: the early check above is advisory,
@@ -468,15 +462,6 @@ class AuditGateway:
                 tenant = self._route_or_provision(
                     metadata if metadata is not None else self._default_metadata(model)
                 )
-            if query_function is not None and tenant.defense == "mntd":
-                # MNTD queries the model object directly; there is no seam for
-                # a caller-supplied query wrapper, and silently bypassing one
-                # would skip whatever rate limiting / accounting it implements
-                warnings.warn(
-                    f"MNTD tenant ignores the query_function supplied for {key!r}: "
-                    "MNTD scores models through their own predict_proba, not a "
-                    "black-box query interface"
-                )
             if cache is not None:
                 cache_key = cache.key_for(model, tenant.entry.key_hash, tenant.spec.precision)
                 with get_tracer().span("cache.lookup") as span:
@@ -547,9 +532,8 @@ class AuditGateway:
         With a :class:`~repro.runtime.verdict_cache.VerdictCache` configured,
         a warm submission returns an already-completed job without blocking
         at the budget, and concurrent submissions of one model fingerprint
-        share a single inspection.  ``query_function`` applies to BPROM
-        tenants; an MNTD tenant warns and scores the model object directly
-        (MNTD has no black-box query seam).
+        share a single inspection.  ``query_function``, when given, is the
+        black-box endpoint the inspection queries.
         """
         return self._submit(key, model, metadata, query_function, blocking=True)
 
@@ -692,9 +676,8 @@ class AuditGateway:
         refilled before each yield, so the workers stay fed while the
         consumer processes verdicts.  Verdicts are bit-identical to
         inspecting each entry with its tenant's detector under the same key;
-        only arrival order differs.  ``query_functions`` apply to BPROM
-        tenants; an entry routed to an MNTD tenant warns and scores the model
-        object directly (MNTD has no black-box query seam).
+        only arrival order differs.  ``query_functions`` maps a key to the
+        black-box endpoint its inspection queries.
         """
         # the iterable is consumed lazily — at most one entry is pulled ahead
         # of the available budget, so a generator that materialises each

@@ -1,15 +1,15 @@
-"""Detector registry: a store-backed catalogue of fitted BPROM/MNTD detectors.
+"""Detector registry: a store-backed catalogue of fitted BPROM detectors.
 
 One front door for a fleet of detectors.  A production MLaaS auditor receives
-suspicious models for many *tenants* — different architectures, datasets and
-defense choices — and must route each to the right fitted detector, fitting
-one on demand at most once fleet-wide.  The registry provides exactly that:
+suspicious models for many *tenants* — different architectures and datasets —
+and must route each to the right fitted detector, fitting one on demand at
+most once fleet-wide.  The registry provides exactly that:
 
 * **addressing** — a detector's identity is its :class:`DetectorSpec`
-  (defense kind, profile, architecture, attack/query knobs, seed) plus the
-  fingerprints of the datasets it is fitted on; ``registry_key`` turns that
-  into an artifact-store key, so any knob that changes the fitted detector
-  changes its address;
+  (profile, architecture, shadow attack, threshold, seed, precision) plus
+  the fingerprints of the datasets it is fitted on; ``registry_key`` turns
+  that into an artifact-store key, so any knob that changes the fitted
+  detector changes its address;
 * **cross-process single-flight** — ``get_or_fit`` first consults the
   artifact store for a previously fitted detector (zero training on a warm
   store, in *any* process), and otherwise takes an advisory lock file in the
@@ -22,18 +22,19 @@ one on demand at most once fleet-wide.  The registry provides exactly that:
   registry's lifetime, so repeat requests in one process never touch the
   store.
 
-Both detector families round-trip with bit-identical scores
-(``BpromDetector.save``/``load`` and ``MNTDDefense.save``/``load``), which is
-what makes a registry hit indistinguishable from the original fit.
+A detector round-trips through ``BpromDetector.save``/``load`` with
+bit-identical scores, which is what makes a registry hit indistinguishable
+from the original fit.  The MNTD baseline is not served here: it has no
+black-box query seam, so it stays a library class in
+:mod:`repro.defenses.model_level` for the paper's comparison tables.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from threading import RLock
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.config import (
     DEFAULT_RUNTIME,
@@ -45,31 +46,26 @@ from repro.config import (
 )
 from repro.core.detector import BpromDetector
 from repro.datasets.base import ImageDataset
-from repro.defenses.model_level import MNTDDefense
 from repro.models.registry import architecture_family
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.trace import get_tracer
 from repro.runtime.locks import AdvisoryLock
-from repro.runtime.pipeline import StageReport
 from repro.runtime.store import MISS, Artifact, ArtifactStore, dataset_fingerprint, key_hash
 
 #: artifact kind under which fitted detectors are stored
 DETECTOR_KIND = "fitted-detector"
 
 #: defense kinds the registry can fit and serve
-DEFENSE_KINDS = ("bprom", "mntd")
+DEFENSE_KINDS = ("bprom",)
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
     """Everything that determines *which* fitted detector a tenant needs.
 
-    ``defense`` selects the family: ``"bprom"`` (the paper's detector, fitted
-    on ``(reserved_clean, target_train, target_test)``) or ``"mntd"`` (the
-    model-level baseline, fitted on ``reserved_clean`` alone).  The remaining
-    fields mirror the corresponding constructor knobs; fields irrelevant to
-    the chosen family are ignored by it but still participate in the registry
-    key, so keep them at their defaults unless they matter.
+    ``defense`` must be ``"bprom"``: the paper's detector, fitted on
+    ``(reserved_clean, target_train, target_test)``.  The remaining fields
+    mirror the corresponding ``BpromDetector`` constructor knobs.
     """
 
     defense: str = "bprom"
@@ -77,12 +73,8 @@ class DetectorSpec:
     architecture: str = "resnet18"
     seed: int = 0
     threshold: float = 0.5
-    #: BPROM: the single shadow attack used to poison shadow pools
+    #: the single shadow attack used to poison shadow pools
     shadow_attack: str = "badnets"
-    #: MNTD: the attack-diverse shadow pool composition
-    shadow_attacks: Tuple[str, ...] = ("badnets", "blend", "trojan")
-    #: MNTD: number of tuned query probes
-    num_queries: int = 16
     #: precision tier the shadow pools train in: "float64" (reference,
     #: bit-identity contract) or "float32" (fast tier, tolerance contract).
     #: Tiers never share artifacts — the registry key carries the precision.
@@ -94,7 +86,6 @@ class DetectorSpec:
                 f"unknown defense {self.defense!r}; available: {DEFENSE_KINDS}"
             )
         architecture_family(self.architecture)  # fail fast on unknown arch
-        object.__setattr__(self, "shadow_attacks", tuple(self.shadow_attacks))
         object.__setattr__(self, "precision", str(self.precision).lower())
         if self.precision not in PRECISIONS:
             raise ValueError(
@@ -117,23 +108,16 @@ class RegistryEntry:
 
     key_hash: str
     spec: DetectorSpec
-    #: the fitted ``BpromDetector`` or ``MNTDDefense``
+    #: the fitted ``BpromDetector``
     detector: Any
     #: "fit" (trained here), "store" (loaded from a warm artifact store) or
-    #: "memory" (served from the registry's in-memory map)
+    #: "memory" (served from the registry's in-memory map); only "fit"
+    #: trained anything
     source: str
-    #: stage execution records: the detector's own pipeline reports for a
-    #: fresh fit, or a single synthetic all-cached record for a store load
-    stage_reports: List[StageReport] = field(default_factory=list)
     #: the full :func:`registry_key` payload this entry was resolved under —
     #: what a :class:`~repro.runtime.workers.DetectorRef` ships to process
     #: workers so they can hydrate the same artifact from the shared store
     key: Optional[Dict[str, Any]] = None
-
-    @property
-    def trained(self) -> bool:
-        """Whether serving this entry performed any training."""
-        return any(not report.cached for report in self.stage_reports)
 
 
 def registry_key(
@@ -150,8 +134,10 @@ def registry_key(
         "seed": spec.seed,
         "threshold": spec.threshold,
         "shadow_attack": spec.shadow_attack,
-        "shadow_attacks": list(spec.shadow_attacks),
-        "num_queries": spec.num_queries,
+        # two fields the spec no longer has, kept at their old defaults so
+        # warm stores keep their hashes
+        "shadow_attacks": ["badnets", "blend", "trojan"],
+        "num_queries": 16,
         "reserved": dataset_fingerprint(reserved_clean),
         "target_train": dataset_fingerprint(target_train) if target_train is not None else None,
         "target_test": dataset_fingerprint(target_test) if target_test is not None else None,
@@ -164,7 +150,9 @@ def registry_key(
     return key
 
 
-def load_detector_artifact(artifact: Artifact, spec: DetectorSpec, runtime: RuntimeConfig) -> Any:
+def load_detector_artifact(
+    artifact: Artifact, spec: DetectorSpec, runtime: RuntimeConfig
+) -> BpromDetector:
     """Reconstruct a fitted detector from its store artifact.
 
     Module-level so process-pool workers (:mod:`repro.runtime.workers`) can
@@ -172,8 +160,6 @@ def load_detector_artifact(artifact: Artifact, spec: DetectorSpec, runtime: Runt
     store loads go through the same code, which is what makes a worker-side
     hydration bit-identical to an in-process store hit.
     """
-    if spec.defense == "mntd":
-        return MNTDDefense.load(artifact.directory)
     return BpromDetector.load(
         artifact.directory,
         runtime=runtime.with_overrides(precision=spec.precision),
@@ -230,13 +216,8 @@ class DetectorRegistry:
                 return None
             self.hits += 1
             # a per-call view, not a mutation: earlier callers keep the
-            # provenance their own get_or_fit observed ("fit"/"store"), and
-            # this call's reports say what *it* did — nothing but a cache hit
-            return replace(
-                entry,
-                source="memory",
-                stage_reports=[StageReport("memory", True, 0.0)],
-            )
+            # provenance their own get_or_fit observed ("fit"/"store")
+            return replace(entry, source="memory")
 
     # -- store codecs ---------------------------------------------------------
     @staticmethod
@@ -246,9 +227,6 @@ class DetectorRegistry:
         detector.save(artifact.directory)
         artifact.save_json("registry", {"defense": spec.defense})
 
-    def _load_detector(self, artifact: Artifact, spec: DetectorSpec) -> Any:
-        return load_detector_artifact(artifact, spec, self.runtime)
-
     # -- fitting --------------------------------------------------------------
     def _fit(
         self,
@@ -256,21 +234,7 @@ class DetectorRegistry:
         reserved_clean: ImageDataset,
         target_train: Optional[ImageDataset],
         target_test: Optional[ImageDataset],
-    ) -> Tuple[Any, List[StageReport]]:
-        if spec.defense == "mntd":
-            defense = MNTDDefense(
-                profile=spec.profile,
-                architecture=spec.architecture,
-                shadow_attacks=spec.shadow_attacks,
-                num_queries=spec.num_queries,
-                threshold=spec.threshold,
-                seed=spec.seed,
-                precision=spec.precision,
-            )
-            start = time.perf_counter()
-            defense.fit(reserved_clean)
-            reports = [StageReport("mntd-fit", False, time.perf_counter() - start)]
-            return defense, reports
+    ) -> BpromDetector:
         if target_train is None or target_test is None:
             raise ValueError(
                 "fitting a BPROM detector needs target_train and target_test datasets"
@@ -285,8 +249,7 @@ class DetectorRegistry:
             # registry's own runtime keeps its worker/caching settings
             runtime=self.runtime.with_overrides(precision=spec.precision),
         )
-        detector.fit(reserved_clean, target_train, target_test)
-        return detector, list(detector.stage_reports)
+        return detector.fit(reserved_clean, target_train, target_test)
 
     # -- the front door -------------------------------------------------------
     def get_or_fit(
@@ -324,23 +287,15 @@ class DetectorRegistry:
             return entry
 
         def try_store() -> Optional[RegistryEntry]:
-            start = time.perf_counter()
             detector = self.store.try_load(
-                DETECTOR_KIND, key, lambda artifact: self._load_detector(artifact, spec)
+                DETECTOR_KIND, key, lambda artifact: load_detector_artifact(artifact, spec, self.runtime)
             )
             if detector is MISS:
                 return None
             with self._lock:
                 self.store_hits += 1
             return RegistryEntry(
-                key_hash=digest,
-                spec=spec,
-                detector=detector,
-                source="store",
-                stage_reports=[
-                    StageReport(DETECTOR_KIND, True, time.perf_counter() - start)
-                ],
-                key=key,
+                key_hash=digest, spec=spec, detector=detector, source="store", key=key
             )
 
         if self.store.enabled:
@@ -369,9 +324,7 @@ class DetectorRegistry:
                     refresher = threading.Thread(target=heartbeat, daemon=True)
                     refresher.start()
                     try:
-                        detector, reports = self._fit(
-                            spec, reserved_clean, target_train, target_test
-                        )
+                        detector = self._fit(spec, reserved_clean, target_train, target_test)
                     finally:
                         stop_refresh.set()
                         refresher.join()
@@ -380,26 +333,16 @@ class DetectorRegistry:
                     with self.store.open_write(DETECTOR_KIND, key) as artifact:
                         self._save_detector(artifact, spec, detector)
                     entry = RegistryEntry(
-                        key_hash=digest,
-                        spec=spec,
-                        detector=detector,
-                        source="fit",
-                        stage_reports=reports,
-                        key=key,
+                        key_hash=digest, spec=spec, detector=detector, source="fit", key=key
                     )
         else:
             # no shared store: fall back to an in-process fit (the in-memory
             # map still deduplicates repeat requests within this process)
-            detector, reports = self._fit(spec, reserved_clean, target_train, target_test)
+            detector = self._fit(spec, reserved_clean, target_train, target_test)
             with self._lock:
                 self.fits += 1
             entry = RegistryEntry(
-                key_hash=digest,
-                spec=spec,
-                detector=detector,
-                source="fit",
-                stage_reports=reports,
-                key=key,
+                key_hash=digest, spec=spec, detector=detector, source="fit", key=key
             )
         self._insert(entry)
         return entry

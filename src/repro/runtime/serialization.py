@@ -14,7 +14,6 @@ from typing import List
 
 import numpy as np
 
-from repro.config import profile_from_dict, profile_to_dict
 from repro.core.shadow import ShadowModel
 from repro.datasets.base import ImageDataset
 from repro.models.classifier import ImageClassifier
@@ -208,66 +207,3 @@ def load_meta_classifier(artifact: Artifact, name: str = "meta"):
     return MetaClassifier.from_state(
         artifact.load_json(f"{name}.meta"), artifact.load_arrays(name)
     )
-
-
-# -- MNTD baseline -------------------------------------------------------------
-
-#: bump when the on-disk MNTD layout changes incompatibly
-MNTD_FORMAT_VERSION = 1
-
-
-def save_mntd_defense(artifact: Artifact, defense, name: str = "mntd") -> None:
-    """Persist a fitted :class:`repro.defenses.model_level.MNTDDefense`.
-
-    Stores everything :meth:`score_model` reads — the tuned query images and
-    the fitted meta random forest — plus the construction parameters, so the
-    reloaded defense produces bit-identical scores.  The shadow classifiers
-    are training-time artefacts (cached separately by the artifact store) and
-    are not part of this artifact, mirroring ``BpromDetector.save``.
-    """
-    if defense._meta is None or defense._query_images is None:
-        raise ValueError("only a fitted MNTDDefense can be saved")
-    artifact.save_arrays(name, {"query_images": defense._query_images})
-    artifact.save_arrays(f"{name}.forest", defense._meta.get_state())
-    artifact.save_json(
-        f"{name}.meta",
-        {
-            "format_version": MNTD_FORMAT_VERSION,
-            "profile": profile_to_dict(defense.profile),
-            "architecture": defense.architecture,
-            "shadow_attacks": list(defense.shadow_attacks),
-            "num_queries": defense.num_queries,
-            "threshold": defense.threshold,
-            "seed": defense.seed,
-            "precision": defense.precision,
-            "shadow_labels": [int(s.is_backdoored) for s in defense.shadow_models],
-        },
-    )
-
-
-def load_mntd_defense(artifact: Artifact, name: str = "mntd"):
-    """Inverse of :func:`save_mntd_defense`; scores are bit-identical."""
-    from repro.defenses.model_level import MNTDDefense
-    from repro.ml.forest import RandomForestClassifier
-
-    meta = artifact.load_json(f"{name}.meta")
-    if meta["format_version"] != MNTD_FORMAT_VERSION:
-        raise ValueError(
-            f"saved MNTD defense has format {meta['format_version']}, "
-            f"expected {MNTD_FORMAT_VERSION}"
-        )
-    defense = MNTDDefense(
-        profile=profile_from_dict(meta["profile"]),
-        architecture=meta["architecture"],
-        shadow_attacks=tuple(meta["shadow_attacks"]),
-        num_queries=meta["num_queries"],
-        threshold=meta["threshold"],
-        seed=meta["seed"],
-        # artifacts saved before the precision split are float64 by definition
-        precision=meta.get("precision", "float64"),
-    )
-    defense._query_images = np.asarray(
-        artifact.load_arrays(name)["query_images"], dtype=np.float64
-    )
-    defense._meta = RandomForestClassifier.from_state(artifact.load_arrays(f"{name}.forest"))
-    return defense

@@ -1,4 +1,4 @@
-"""Content-addressed, disk-backed artifact store for the staged pipeline.
+"""Content-addressed, disk-backed artifact store for the pipeline's stages.
 
 Artifacts are directories under ``<root>/<kind>/<key-hash>/`` holding ``.npz``
 array blobs plus JSON metadata.  Keys are arbitrary JSON-serialisable payloads

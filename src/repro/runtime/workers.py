@@ -1,12 +1,10 @@
-"""Tenant worker pool: the gateway's one dispatch layer, process-capable.
+"""Pool tasks: everything one cold audit needs once it leaves the gateway.
 
-This module holds everything one cold audit needs once it leaves the
-gateway, so "scales within one process" becomes "scales with the machine":
+The gateway runs each cold audit as one task on its
+:class:`~repro.runtime.executor.WorkerPool`; this module holds what that task
+carries and runs, so "scales within one process" becomes "scales with the
+machine":
 
-* :class:`WorkerPool` — one persistent executor shared by every tenant of an
-  :class:`~repro.runtime.gateway.AuditGateway`, with a ``"thread"`` (default),
-  ``"process"`` (true multi-core) or ``"serial"`` (inline) backend.
-  :meth:`WorkerPool.submit` counts each task and runs it on the pool.
 * :class:`DetectorRef` — a pickle-cheap address of one fitted detector: the
   :func:`~repro.runtime.registry.registry_key` payload plus the spec and a
   runtime describing the shared store.  Process backends ship the *ref*, not
@@ -31,18 +29,14 @@ bit-identical to the thread/serial backends.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import RuntimeConfig
-from repro.datasets.base import ImageDataset
 from repro.models.classifier import ImageClassifier
 from repro.obs.clock import now
-from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.trace import TraceContext, collect, get_tracer, relative_to
 from repro.prompting.blackbox import QueryFunction
-from repro.runtime.executor import close_pool, open_pool
 from repro.runtime.registry import DETECTOR_KIND, DetectorSpec, load_detector_artifact
 from repro.runtime.store import MISS, ArtifactStore
 
@@ -155,20 +149,6 @@ def _audit_task(
     )
 
 
-def _mntd_audit_task(
-    defense: Any, clean_data: ImageDataset, key: str, model: ImageClassifier
-) -> AuditVerdict:
-    """One MNTD scoring pass: a query batch plus the meta-forest vote."""
-    defense = resolve_detector(defense)
-    score = float(defense.score_model(model, clean_data))
-    return AuditVerdict(
-        name=key,
-        backdoor_score=score,
-        is_backdoored=score >= defense.threshold,
-        prompted_accuracy=float("nan"),
-    )
-
-
 def _cached_audit_task(cache: Any, cache_key, name: str, task, *args) -> AuditVerdict:
     """Run one audit task through the verdict cache's store tier.
 
@@ -198,108 +178,3 @@ def _traced_task(ctx: TraceContext, fn: Callable[..., Any], *args: Any) -> Any:
     if getattr(verdict, "cache", "cold") == "cold" and hasattr(verdict, "spans"):
         verdict.spans = relative_to(spans, t0)
     return verdict
-
-
-# ---------------------------------------------------------------------------
-# the shared pool
-# ---------------------------------------------------------------------------
-
-class WorkerPool:
-    """One persistent executor shared by every tenant of a gateway.
-
-    The executor is created lazily on the first :meth:`submit` and stays
-    alive until :meth:`close`; every tenant submits through it, so the
-    machine's parallelism is one dial (``workers``) rather than per-tenant
-    pools multiplying.  ``backend="process"`` requires that submitted tasks be
-    module-level callables with picklable arguments — process tenants submit
-    :class:`DetectorRef`-based tasks for exactly this reason.  The executor
-    comes from :func:`~repro.runtime.executor.open_pool`, so OpenBLAS is
-    capped at ``cores // workers`` threads per worker until :meth:`close`.
-
-    Thread-safe: concurrent first submits race on one lock, so exactly one
-    executor is ever created.
-    """
-
-    #: tasks submitted to the pool (for :meth:`stats`); backed by the
-    #: mergeable metrics registry
-    tasks = counter_property("pool.tasks")
-
-    def __init__(self, workers: int = 1, backend: str = "thread") -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in ("serial", "thread", "process"):
-            raise ValueError(f"unknown worker-pool backend {backend!r}")
-        self.workers = int(workers)
-        self.backend = backend
-        self._pool = None
-        self._lock = threading.Lock()
-        self._closed = False
-        self.metrics = MetricsRegistry()
-        self.tasks = 0
-
-    @property
-    def parallel(self) -> bool:
-        """Whether submitted tasks actually run concurrently."""
-        return self.backend != "serial" and self.workers > 1
-
-    @property
-    def started(self) -> bool:
-        """Whether the pool has been handed a task yet."""
-        with self._lock:
-            return self.tasks > 0
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
-        """Count one task and run it on the pool.
-
-        A non-parallel pool (serial backend or one worker) runs the task
-        inline and returns an already-resolved future, with any task
-        exception set on it exactly as a real pool would.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is closed")
-            self.tasks += 1
-            if self.parallel and self._pool is None:
-                self._pool = open_pool(self.workers, self.backend)
-            pool = self._pool
-        if pool is not None:
-            return pool.submit(fn, *args)
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:  # surfaced via future.result(), like a pool;
-            # KeyboardInterrupt/SystemExit propagate — a real pool's caller
-            # would see those too, never a worker.  The broad catch is the
-            # contract here (any task exception must reach the future), which
-            # repro-lint L302 recognises by the set_exception call below
-            future.set_exception(exc)
-        return future
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "backend": self.backend,
-                "workers": self.workers,
-                "started": self.tasks > 0,
-                "tasks": self.tasks,
-            }
-
-    def close(self) -> None:
-        """Drain outstanding tasks and shut the pool down (idempotent)."""
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            close_pool(pool)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WorkerPool(workers={self.workers}, backend={self.backend!r}, "
-            f"tasks={self.tasks})"
-        )

@@ -383,6 +383,60 @@ class TestK103EnvDocDrift:
         assert_quiet("K103", GOOD_CONFIG)
 
 
+class TestK104EnvReadOutsideFromEnv:
+    def test_fires_on_get_getenv_and_subscript(self):
+        assert_fires("K104", """
+            import os
+            from os import environ, getenv
+
+            def precision():
+                return os.environ.get("REPRO_PRECISION") or "float64"
+
+            def mode():
+                return getenv("REPRO_SHADOW_TRAINING", "auto")
+
+            def root():
+                return environ["REPRO_CACHE_DIR"]
+        """)
+        ids = rule_ids("""
+            import os
+
+            def precision():
+                return os.environ.get("REPRO_PRECISION"), os.getenv("REPRO_WORKERS")
+        """, select=["K104"])
+        assert ids == ["K104", "K104"]
+
+    def test_fires_in_a_from_env_outside_a_dataclass(self):
+        assert_fires("K104", """
+            import os
+
+            class Config:
+                @classmethod
+                def from_env(cls):
+                    return cls(os.environ.get("REPRO_WORKERS"))
+        """)
+
+    def test_quiet_inside_dataclass_from_env(self):
+        assert_quiet("K104", GOOD_CONFIG)
+
+    def test_quiet_on_other_variables_writes_and_computed_names(self):
+        assert_quiet("K104", """
+            import os
+
+            def helper(name):
+                os.environ["REPRO_WORKERS"] = "2"
+                return os.environ.get(name), os.environ.get("HOME"), "REPRO_X" in os.environ
+        """)
+
+    def test_suppression_with_a_reason_silences_it(self):
+        assert_quiet("K104", """
+            import os
+
+            def engine():
+                return os.environ.get("REPRO_CONV_ENGINE")  # repro-lint: disable=K104 -- a test override
+        """)
+
+
 class TestK201PrecisionKeyGuard:
     def test_fires_on_unconditional_entry(self):
         assert_fires("K201", """
@@ -875,7 +929,7 @@ def test_rule_metadata_complete():
 
 
 @pytest.mark.parametrize(
-    "family,expected", [("D", 6), ("P", 4), ("K", 5), ("L", 5), ("O", 1)]
+    "family,expected", [("D", 6), ("P", 4), ("K", 6), ("L", 5), ("O", 1)]
 )
 def test_family_sizes(family, expected):
     assert sum(1 for rule_id in RULES if rule_id[0] == family) == expected

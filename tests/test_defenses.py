@@ -130,6 +130,20 @@ def test_mntd_requires_fit_and_scores_models(micro_profile, tiny_dataset, traine
     assert 0.0 <= score <= 1.0
 
 
+def test_mntd_float32_tier_trains_float32_shadows(micro_profile, tiny_dataset, trained_mlp):
+    defense = MNTDDefense(
+        profile=micro_profile,
+        architecture="mlp",
+        shadow_attacks=("badnets",),
+        num_queries=4,
+        seed=7,
+        precision="float32",
+    )
+    defense.fit(tiny_dataset)
+    assert all(s.classifier.dtype == np.float32 for s in defense.shadow_models)
+    assert 0.0 <= defense.score_model(trained_mlp, tiny_dataset) <= 1.0
+
+
 def test_defense_registry_builds_every_defense(tiny_test_dataset):
     for name in available_defenses():
         if name == "mntd":

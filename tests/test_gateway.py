@@ -25,16 +25,13 @@ from repro.runtime.registry import DetectorSpec
 
 @pytest.fixture(scope="module")
 def tenant_specs(micro_profile):
-    """Two BPROM tenants spanning two architecture families, plus MNTD."""
+    """Two BPROM tenants spanning two architecture families."""
     return {
         "vision-cnn": DetectorSpec(
             defense="bprom", profile=micro_profile, architecture="resnet18", seed=0
         ),
         "tabular-mlp": DetectorSpec(
             defense="bprom", profile=micro_profile, architecture="mlp", seed=0
-        ),
-        "baseline-mntd": DetectorSpec(
-            defense="mntd", profile=micro_profile, architecture="mlp", seed=0, num_queries=4
         ),
     }
 
@@ -60,7 +57,7 @@ def vendor_models(micro_profile, tiny_dataset):
 
 @pytest.fixture(scope="module")
 def warm_gateway(tenant_specs, micro_profile, tiny_dataset, tiny_test_dataset, tmp_path_factory):
-    """A gateway with all three tenants registered over a shared store."""
+    """A gateway with both tenants registered over a shared store."""
     runtime = RuntimeConfig(cache_dir=str(tmp_path_factory.mktemp("gateway-store")))
     gateway = AuditGateway(runtime=runtime, max_in_flight=3)
     gateway.register_tenant(
@@ -69,7 +66,6 @@ def warm_gateway(tenant_specs, micro_profile, tiny_dataset, tiny_test_dataset, t
     gateway.register_tenant(
         "tabular-mlp", tenant_specs["tabular-mlp"], tiny_dataset, tiny_test_dataset, tiny_test_dataset
     )
-    gateway.register_tenant("baseline-mntd", tenant_specs["baseline-mntd"], tiny_dataset)
     yield gateway
     gateway.close()
 
@@ -86,7 +82,10 @@ def test_routes_by_architecture_family(warm_gateway, vendor_models):
 
 
 def test_routes_by_defense_and_explicit_tenant(warm_gateway):
-    assert warm_gateway.route({"defense": "mntd"}).tenant_id == "baseline-mntd"
+    route = {"defense": "bprom", "architecture": "mlp"}
+    assert warm_gateway.route(route).tenant_id == "tabular-mlp"
+    with pytest.raises(KeyError):  # the gateway serves BPROM tenants only
+        warm_gateway.route({"defense": "mntd"})
     assert warm_gateway.route({"tenant": "tabular-mlp"}).tenant_id == "tabular-mlp"
     with pytest.raises(KeyError):
         warm_gateway.route({"tenant": "nobody"})
@@ -163,18 +162,6 @@ def test_gateway_matches_parallel_audit_too(
                 assert verdicts[name].is_backdoored == reference.is_backdoored
 
 
-def test_mntd_tenant_verdicts_match_direct_scoring(warm_gateway, vendor_models, tiny_dataset):
-    defense = warm_gateway.tenants["baseline-mntd"].entry.detector
-    model = vendor_models["vendor-mlp-0"]
-    [verdict] = list(
-        warm_gateway.stream([("suspect", model, {"defense": "mntd"})])
-    )
-    assert verdict.tenant == "baseline-mntd"
-    expected = defense.score_model(model, tiny_dataset)
-    assert verdict.backdoor_score == expected
-    assert verdict.is_backdoored == (expected >= defense.threshold)
-
-
 # ---------------------------------------------------------------------------
 # submission surface and accounting
 # ---------------------------------------------------------------------------
@@ -249,19 +236,19 @@ def test_duplicate_named_models_get_independent_seeds(
 
 def test_stats_snapshot_reports_tenants_registry_and_store(warm_gateway, vendor_models):
     stats = warm_gateway.stats()
-    assert set(stats["tenants"]) == {"vision-cnn", "tabular-mlp", "baseline-mntd"}
+    assert set(stats["tenants"]) == {"vision-cnn", "tabular-mlp"}
     cnn = stats["tenants"]["vision-cnn"]
     assert cnn["family"] == "cnn" and cnn["defense"] == "bprom"
-    # the streams above audited two models per bprom tenant (plus resubmits)
-    assert cnn["accepted"] + cnn["rejected"] >= 2
-    assert cnn["query_count"] > 0 and cnn["query_calls"] > 0
-    mntd = stats["tenants"]["baseline-mntd"]
-    assert mntd["query_count"] == 0  # MNTD queries are not black-box prompting
+    assert stats["tenants"]["tabular-mlp"]["family"] == "mlp"
+    # the streams above audited two models per tenant (plus resubmits)
+    for tenant in stats["tenants"].values():
+        assert tenant["accepted"] + tenant["rejected"] >= 2
+        assert tenant["query_count"] > 0 and tenant["query_calls"] > 0
     # every tenant reports its precision tier so fleet dashboards can tell
     # a float32 tenant from the float64 reference tier at a glance
     assert all(t["precision"] == "float64" for t in stats["tenants"].values())
-    assert stats["registry"]["fits"] == 3  # one fit per tenant, cold store
-    assert stats["registry"]["loaded"] == 3
+    assert stats["registry"]["fits"] == 2  # one fit per tenant, cold store
+    assert stats["registry"]["loaded"] == 2
     assert isinstance(stats["store"], dict) and stats["store"]
     assert stats["in_flight"] == 0
     assert stats["max_in_flight"] == 3
@@ -341,11 +328,14 @@ def test_budget_caps_peak_concurrency(
     assert 1 <= probe.peak <= 2, f"in-flight exceeded the budget: {probe.peak}"
 
 
-def test_duplicate_tenant_registration_is_rejected(tenant_specs, tiny_dataset, tmp_path):
+def test_duplicate_tenant_registration_is_rejected(
+    tenant_specs, tiny_dataset, tiny_test_dataset, tmp_path
+):
     gateway = AuditGateway(runtime=RuntimeConfig(cache_dir=str(tmp_path)))
-    gateway.register_tenant("baseline-mntd", tenant_specs["baseline-mntd"], tiny_dataset)
+    datasets = (tiny_dataset, tiny_test_dataset, tiny_test_dataset)
+    gateway.register_tenant("tabular-mlp", tenant_specs["tabular-mlp"], *datasets)
     with pytest.raises(ValueError, match="already registered"):
-        gateway.register_tenant("baseline-mntd", tenant_specs["baseline-mntd"], tiny_dataset)
+        gateway.register_tenant("tabular-mlp", tenant_specs["tabular-mlp"], *datasets)
     gateway.close()
 
 
@@ -359,16 +349,13 @@ def test_gateway_reuses_registry_across_instances(
         first.register_tenant(
             "tabular-mlp", tenant_specs["tabular-mlp"], tiny_dataset, tiny_test_dataset, tiny_test_dataset
         )
-        first.register_tenant("baseline-mntd", tenant_specs["baseline-mntd"], tiny_dataset)
     registry = DetectorRegistry(runtime=runtime)
     with AuditGateway(registry=registry) as second:
         mlp = second.register_tenant(
             "tabular-mlp", tenant_specs["tabular-mlp"], tiny_dataset, tiny_test_dataset, tiny_test_dataset
         )
-        mntd = second.register_tenant("baseline-mntd", tenant_specs["baseline-mntd"], tiny_dataset)
-        assert mlp.entry.source == "store" and not mlp.entry.trained
-        assert mntd.entry.source == "store" and not mntd.entry.trained
-        assert registry.fits == 0
+        assert mlp.entry.source == "store"
+        assert registry.fits == 0 and registry.store_hits == 1
 
 
 def test_stream_delivers_harvested_verdicts_before_routing_errors(warm_gateway, vendor_models):
@@ -426,18 +413,6 @@ def test_stream_consumes_submissions_lazily(warm_gateway, vendor_models):
     assert first.name == "lazy-0"
     assert len(pulled) <= 2  # at most one entry pulled ahead of the budget
     assert len(list(stream)) == 4
-
-
-def test_mntd_tenant_warns_on_ignored_query_function(warm_gateway, vendor_models):
-    model = vendor_models["vendor-mlp-0"]
-    with pytest.warns(UserWarning, match="MNTD tenant ignores"):
-        verdicts = list(
-            warm_gateway.stream(
-                [("wrapped", model, {"defense": "mntd"})],
-                query_functions={"wrapped": model.predict_proba},
-            )
-        )
-    assert verdicts[0].tenant == "baseline-mntd"
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 The acceptance properties of the registry subsystem:
 
 * a *second process* (modelled as a fresh registry instance over the same
-  store) performs **zero training** for both a BPROM and an MNTD detector on
-  a warm store — every stage report cached;
+  store) performs **zero training** on a warm store — the entry comes from
+  the store and no fit is counted;
 * two concurrent cold-store ``get_or_fit`` callers fit **exactly once**
   (cross-process single-flight via advisory lock files);
 * loaded detectors stay in memory, so repeat requests in one process never
-  touch the store.
+  touch the store;
+* registry keys keep their hashes, so stores warmed by earlier versions stay
+  warm.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core.detector import BpromDetector
-from repro.defenses.model_level import MNTDDefense
+from repro.datasets.base import ImageDataset
 from repro.runtime import AdvisoryLock, LockTimeout
 from repro.runtime.registry import DetectorRegistry, DetectorSpec, registry_key
 from repro.runtime.store import key_hash
@@ -106,10 +108,9 @@ def test_registry_key_tracks_every_knob(micro_profile, tiny_dataset, tiny_test_d
     base = key_hash(registry_key(spec, tiny_dataset, tiny_test_dataset, tiny_test_dataset))
     for changed in (
         spec.with_overrides(seed=4),
-        spec.with_overrides(defense="mntd"),
         spec.with_overrides(architecture="resnet18"),
         spec.with_overrides(threshold=0.7),
-        spec.with_overrides(num_queries=5),
+        spec.with_overrides(shadow_attack="blend"),
         spec.with_overrides(precision="float32"),
     ):
         other = key_hash(registry_key(changed, tiny_dataset, tiny_test_dataset, tiny_test_dataset))
@@ -118,9 +119,33 @@ def test_registry_key_tracks_every_knob(micro_profile, tiny_dataset, tiny_test_d
     assert key_hash(registry_key(spec, tiny_test_dataset, tiny_test_dataset, tiny_test_dataset)) != base
 
 
+def _ramp_dataset(count: int, offset: int) -> ImageDataset:
+    """A dataset whose fingerprint is the same on every platform."""
+    size = count * 3 * 12 * 12
+    images = (np.arange(size, dtype=np.float64) + offset) / (size + offset)
+    return ImageDataset(images.reshape(count, 3, 12, 12), np.arange(count) % 4, num_classes=4)
+
+
+@pytest.mark.parametrize(
+    "overrides,expected",
+    [
+        ({"architecture": "mlp", "seed": 0}, "0b137f932436d4032664"),
+        ({"architecture": "resnet18", "seed": 3, "precision": "float32"}, "1884bffe57ee39bd4134"),
+    ],
+)
+def test_registry_key_hashes_stay_stable(micro_profile, overrides, expected):
+    """The hashes the registry minted when specs still carried the MNTD
+    fields: a store warmed then must still be warm."""
+    spec = DetectorSpec(defense="bprom", profile=micro_profile, **overrides)
+    key = registry_key(spec, _ramp_dataset(8, 0), _ramp_dataset(12, 1), _ramp_dataset(8, 2))
+    assert key_hash(key) == expected
+
+
 def test_spec_rejects_unknown_defense_and_architecture(micro_profile):
     with pytest.raises(ValueError):
         DetectorSpec(defense="strip", profile=micro_profile)
+    with pytest.raises(ValueError):
+        DetectorSpec(defense="mntd", profile=micro_profile)
     with pytest.raises(ValueError):
         DetectorSpec(profile=micro_profile, architecture="vgg")
     with pytest.raises(ValueError, match="precision"):
@@ -168,12 +193,8 @@ def shared_store_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def specs(micro_profile):
-    return {
-        "bprom": DetectorSpec(defense="bprom", profile=micro_profile, architecture="mlp", seed=0),
-        "mntd": DetectorSpec(
-            defense="mntd", profile=micro_profile, architecture="mlp", seed=0, num_queries=4
-        ),
-    }
+    seed0 = DetectorSpec(defense="bprom", profile=micro_profile, architecture="mlp", seed=0)
+    return {"seed0": seed0, "seed1": seed0.with_overrides(seed=1)}
 
 
 def test_second_process_reuses_both_detector_kinds(
@@ -181,47 +202,34 @@ def test_second_process_reuses_both_detector_kinds(
 ):
     runtime = RuntimeConfig(cache_dir=str(shared_store_dir))
     first = DetectorRegistry(runtime=runtime)
-    fitted_bprom = first.get_or_fit(
-        specs["bprom"], tiny_dataset, tiny_test_dataset, tiny_test_dataset
-    )
-    fitted_mntd = first.get_or_fit(specs["mntd"], tiny_dataset)
-    assert fitted_bprom.source == "fit" and fitted_bprom.trained
-    assert fitted_mntd.source == "fit" and fitted_mntd.trained
-    assert first.fits == 2
+    fitted = first.get_or_fit(specs["seed0"], tiny_dataset, tiny_test_dataset, tiny_test_dataset)
+    assert fitted.source == "fit"
+    assert first.fits == 1
 
     # a fresh registry over the same store models a second process
     second = DetectorRegistry(runtime=runtime)
-    warm_bprom = second.get_or_fit(
-        specs["bprom"], tiny_dataset, tiny_test_dataset, tiny_test_dataset
-    )
-    warm_mntd = second.get_or_fit(specs["mntd"], tiny_dataset)
-    # zero training: every stage report cached, no fits counted
-    for entry in (warm_bprom, warm_mntd):
-        assert entry.source == "store"
-        assert entry.stage_reports and all(report.cached for report in entry.stage_reports)
-        assert not entry.trained
-    assert second.fits == 0 and second.store_hits == 2
+    warm = second.get_or_fit(specs["seed0"], tiny_dataset, tiny_test_dataset, tiny_test_dataset)
+    # zero training: loaded from the store, no fits counted
+    assert warm.source == "store"
+    assert second.fits == 0 and second.store_hits == 1
 
-    # and the reloaded detectors serve bit-identical scores
-    assert isinstance(warm_bprom.detector, BpromDetector)
-    assert isinstance(warm_mntd.detector, MNTDDefense)
-    original = fitted_bprom.detector.inspect(trained_mlp, seed_key="probe")
-    reloaded = warm_bprom.detector.inspect(trained_mlp, seed_key="probe")
+    # and the reloaded detector serves bit-identical scores
+    assert isinstance(warm.detector, BpromDetector)
+    original = fitted.detector.inspect(trained_mlp, seed_key="probe")
+    reloaded = warm.detector.inspect(trained_mlp, seed_key="probe")
     assert reloaded.backdoor_score == original.backdoor_score
-    assert warm_mntd.detector.score_model(trained_mlp, tiny_dataset) == fitted_mntd.detector.score_model(
-        trained_mlp, tiny_dataset
-    )
 
     # third call in the same process: served from the in-memory map
-    assert second.get_or_fit(specs["mntd"], tiny_dataset).source == "memory"
+    again = second.get_or_fit(specs["seed0"], tiny_dataset, tiny_test_dataset, tiny_test_dataset)
+    assert again.source == "memory"
     assert second.hits == 1
 
 
 def test_concurrent_cold_callers_fit_exactly_once(
-    micro_profile, tiny_dataset, tiny_test_dataset, tmp_path
+    micro_profile, tiny_dataset, tiny_test_dataset, trained_mlp, tmp_path
 ):
     runtime = RuntimeConfig(cache_dir=str(tmp_path))
-    spec = DetectorSpec(defense="mntd", profile=micro_profile, architecture="mlp", num_queries=4)
+    spec = DetectorSpec(defense="bprom", profile=micro_profile, architecture="mlp")
     registries = [DetectorRegistry(runtime=runtime) for _ in range(2)]
     entries = [None, None]
     errors = []
@@ -230,7 +238,9 @@ def test_concurrent_cold_callers_fit_exactly_once(
     def caller(index):
         try:
             barrier.wait()
-            entries[index] = registries[index].get_or_fit(spec, tiny_dataset)
+            entries[index] = registries[index].get_or_fit(
+                spec, tiny_dataset, tiny_test_dataset, tiny_test_dataset
+            )
         except BaseException as exc:  # pragma: no cover - diagnostic
             errors.append(exc)
 
@@ -246,10 +256,12 @@ def test_concurrent_cold_callers_fit_exactly_once(
     assert sum(registry.store_hits for registry in registries) == 1
     assert all(entry is not None for entry in entries)
     # both callers hold the same fitted detector: the loser's copy came from
-    # the winner's artifact, so the tuned query probes agree exactly
-    np.testing.assert_array_equal(
-        entries[0].detector._query_images, entries[1].detector._query_images
-    )
+    # the winner's artifact, so their scores agree exactly
+    scores = [
+        entry.detector.inspect(trained_mlp, seed_key="probe").backdoor_score
+        for entry in entries
+    ]
+    assert scores[0] == scores[1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +272,17 @@ def test_registry_keeps_every_loaded_detector(
     specs, shared_store_dir, tiny_dataset, tiny_test_dataset
 ):
     registry = DetectorRegistry(runtime=RuntimeConfig(cache_dir=str(shared_store_dir)))
-    registry.get_or_fit(specs["bprom"], tiny_dataset, tiny_test_dataset, tiny_test_dataset)
-    registry.get_or_fit(specs["mntd"], tiny_dataset)
+    for spec in specs.values():
+        registry.get_or_fit(spec, tiny_dataset, tiny_test_dataset, tiny_test_dataset)
     assert registry.stats()["loaded"] == 2
 
 
-def test_registry_without_store_fits_in_process(micro_profile, tiny_dataset):
+def test_registry_without_store_fits_in_process(micro_profile, tiny_dataset, tiny_test_dataset):
     registry = DetectorRegistry(runtime=RuntimeConfig())  # no cache_dir: store disabled
-    spec = DetectorSpec(defense="mntd", profile=micro_profile, architecture="mlp", num_queries=4)
-    entry = registry.get_or_fit(spec, tiny_dataset)
+    spec = DetectorSpec(defense="bprom", profile=micro_profile, architecture="mlp")
+    datasets = (tiny_dataset, tiny_test_dataset, tiny_test_dataset)
+    entry = registry.get_or_fit(spec, *datasets)
     assert entry.source == "fit"
     # repeat requests still deduplicate through the in-memory map
-    assert registry.get_or_fit(spec, tiny_dataset).source == "memory"
+    assert registry.get_or_fit(spec, *datasets).source == "memory"
     assert registry.fits == 1

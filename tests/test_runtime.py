@@ -1,5 +1,5 @@
-"""Tests for the staged pipeline runtime: artifact store, parallel executor,
-detector persistence and warm-cache training skips."""
+"""Tests for the pipeline runtime: artifact store, worker pool, detector
+persistence, the fit's stage seams and warm-cache training skips."""
 
 from __future__ import annotations
 
@@ -12,12 +12,8 @@ from repro.core.shadow import ShadowModelFactory
 from repro.eval.harness import ExperimentContext
 from repro.models.classifier import ImageClassifier
 from repro.models.registry import build_classifier
-from repro.runtime import (
-    ArtifactStore,
-    ParallelExecutor,
-    Stage,
-    StagedPipeline,
-)
+from repro.obs import get_tracer
+from repro.runtime import ArtifactStore, WorkerPool, executor
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +125,7 @@ def test_store_fetch_memoises_on_disk(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# ParallelExecutor
+# WorkerPool.map
 # ---------------------------------------------------------------------------
 
 def _square(x: int) -> int:
@@ -138,55 +134,34 @@ def _square(x: int) -> int:
 
 def test_executor_orders_match_serial():
     items = list(range(20))
-    serial = ParallelExecutor(1).map(_square, items)
-    threaded = ParallelExecutor(4, "thread").map(_square, items)
-    assert serial == threaded == [x * x for x in items]
+    with WorkerPool(1) as serial, WorkerPool(4, "thread") as threaded:
+        assert serial.map(_square, items) == threaded.map(_square, items)
+        assert threaded.map(_square, items) == [x * x for x in items]
 
 
 def test_executor_rejects_bad_config():
     with pytest.raises(ValueError):
-        ParallelExecutor(0)
+        WorkerPool(0)
     with pytest.raises(ValueError):
-        ParallelExecutor(2, "fiber")
+        WorkerPool(2, "fiber")
     with pytest.raises(ValueError):
         RuntimeConfig(workers=2, backend="fiber")
+
+
+def test_pool_from_config_never_opens_more_workers_than_tasks():
+    runtime = RuntimeConfig(workers=4, backend="process")
+    inline = WorkerPool.from_config(None, tasks=8)
+    assert (inline.workers, inline.backend) == (1, "serial")
+    assert WorkerPool.from_config(runtime, tasks=8).workers == 4
+    assert WorkerPool.from_config(runtime, tasks=2).workers == 2
+    assert WorkerPool.from_config(runtime, tasks=0).workers == 1
+    assert WorkerPool.from_config(runtime, tasks=2).backend == "process"
 
 
 def test_runtime_config_properties():
     assert not RuntimeConfig().parallel
     assert RuntimeConfig(workers=4).parallel
     assert not RuntimeConfig(workers=4, backend="serial").parallel
-
-
-# ---------------------------------------------------------------------------
-# StagedPipeline
-# ---------------------------------------------------------------------------
-
-def test_pipeline_runs_stages_in_order_and_caches(tmp_path):
-    store = ArtifactStore(tmp_path)
-    builds = []
-
-    def stages():
-        return [
-            Stage(
-                "numbers",
-                build=lambda results: builds.append("numbers") or [1, 2, 3],
-                kind="numbers",
-                key={"seed": 0},
-                save=lambda artifact, value: artifact.save_json("value", value),
-                load=lambda artifact, results: artifact.load_json("value"),
-            ),
-            Stage("total", build=lambda results: sum(results["numbers"])),
-        ]
-
-    first = StagedPipeline(stages(), store=store)
-    assert first.run() == {"numbers": [1, 2, 3], "total": 6}
-    assert [report.cached for report in first.reports] == [False, False]
-
-    second = StagedPipeline(stages(), store=store)
-    assert second.run() == {"numbers": [1, 2, 3], "total": 6}
-    assert [report.cached for report in second.reports] == [True, False]
-    assert builds == ["numbers"]
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +173,8 @@ def test_parallel_shadow_pool_matches_sequential(micro_profile, tiny_dataset):
         profile=micro_profile, architecture="mlp", shadow_attack="badnets", seed=11
     )
     sequential = factory.build_pool(tiny_dataset, num_clean=2, num_backdoor=2)
-    parallel = factory.build_pool(
-        tiny_dataset,
-        num_clean=2,
-        num_backdoor=2,
-        executor=ParallelExecutor(3, "thread"),
-    )
+    with WorkerPool(3, "thread") as pool:
+        parallel = factory.build_pool(tiny_dataset, num_clean=2, num_backdoor=2, executor=pool)
     assert [s.is_backdoored for s in sequential] == [s.is_backdoored for s in parallel]
     assert [s.target_class for s in sequential] == [s.target_class for s in parallel]
     for left, right in zip(sequential, parallel):
@@ -245,6 +216,54 @@ def suspicious_fleet(micro_profile, tiny_dataset):
         model.fit(tiny_dataset, micro_profile.classifier, rng=300 + index)
         fleet.append(model)
     return fleet
+
+
+def test_parallel_fit_opens_one_pool_for_both_stages(
+    micro_profile, tiny_dataset, tiny_test_dataset, tmp_path, monkeypatch
+):
+    """Shadow training and prompting share one pool: a cold 2-worker fit
+    opens exactly one executor."""
+    opened = []
+    original = executor.open_pool
+
+    def counting_open_pool(workers, backend):
+        opened.append((workers, backend))
+        return original(workers, backend)
+
+    monkeypatch.setattr(executor, "open_pool", counting_open_pool)
+    runtime = RuntimeConfig(workers=2, backend="thread", cache_dir=str(tmp_path))
+    detector = BpromDetector(profile=micro_profile, architecture="mlp", seed=0, runtime=runtime)
+    detector.fit(tiny_dataset, tiny_dataset, tiny_test_dataset)
+    assert opened == [(2, "thread")]
+    assert detector._store.hits == 0  # both stages really ran on the pool
+
+
+def _fit_spans(micro_profile, tiny_dataset, tiny_test_dataset, cache_dir):
+    tracer = get_tracer()
+    tracer.drain()
+    tracer.enable()
+    try:
+        detector = BpromDetector(
+            profile=micro_profile,
+            architecture="mlp",
+            seed=0,
+            runtime=RuntimeConfig(cache_dir=str(cache_dir)),
+        )
+        detector.fit(tiny_dataset, tiny_dataset, tiny_test_dataset)
+    finally:
+        tracer.disable()
+    return {span.name: span.attrs.get("cached") for span in tracer.drain()}
+
+
+def test_cold_and_warm_fits_record_every_stage_span(
+    micro_profile, tiny_dataset, tiny_test_dataset, tmp_path
+):
+    """The ``fit.<stage>`` spans the benchmark's set-up breakdown reads, on
+    both a cold and a warm store; only the warm one loads."""
+    cold = _fit_spans(micro_profile, tiny_dataset, tiny_test_dataset, tmp_path)
+    warm = _fit_spans(micro_profile, tiny_dataset, tiny_test_dataset, tmp_path)
+    assert cold == {"fit.shadow": False, "fit.prompt": False, "fit.meta": False}
+    assert warm == {"fit.shadow": True, "fit.prompt": True, "fit.meta": False}
 
 
 def test_detector_save_load_bit_identical_scores(
@@ -297,9 +316,8 @@ def test_save_requires_fitted_detector(micro_profile, tmp_path):
 
 def test_inspect_many_matches_sequential_inspect(fitted_detector, suspicious_fleet):
     sequential = [fitted_detector.inspect(model) for model in suspicious_fleet]
-    batched = fitted_detector.inspect_many(
-        suspicious_fleet, executor=ParallelExecutor(3, "thread")
-    )
+    with WorkerPool(3, "thread") as pool:
+        batched = fitted_detector.inspect_many(suspicious_fleet, executor=pool)
     assert [r.backdoor_score for r in batched] == [r.backdoor_score for r in sequential]
     scores = fitted_detector.score_models(suspicious_fleet)
     np.testing.assert_array_equal(scores, [r.backdoor_score for r in sequential])
@@ -356,6 +374,30 @@ def test_warm_store_skips_all_training(micro_profile, tmp_path, monkeypatch):
     probe_again = cold.suspicious_model("cifar10", None, 0, "mlp")
     assert fit_calls == [], "warm store must also cover the suspicious zoo"
     assert restored.inspect(probe_again.classifier).backdoor_score == baseline_score
+
+
+def test_context_shadow_pool_ignores_the_precision_variable(
+    micro_profile, tmp_path, monkeypatch
+):
+    """A context's shadow-pool key carries no precision, so the pool must be
+    float64 whatever ``REPRO_PRECISION`` says: a pool written with the
+    variable set reads back equal to a cold float64 pool."""
+    profile = micro_profile.with_overrides(name="micro-precision")
+    runtime = RuntimeConfig(cache_dir=str(tmp_path))
+    pool_args = ("cifar10", "mlp", "badnets", None, 1, 1)
+
+    monkeypatch.setenv("REPRO_PRECISION", "float32")
+    ExperimentContext(profile, seed=0, runtime=runtime).shadow_pool(*pool_args)
+    monkeypatch.delenv("REPRO_PRECISION")
+    warm = ExperimentContext(profile, seed=0, runtime=runtime)
+    stored = warm.shadow_pool(*pool_args)
+    assert warm.store.hits == 1
+    cold = ExperimentContext(profile, seed=0).shadow_pool(*pool_args)
+    for left, right in zip(stored, cold):
+        cold_state = right.classifier.state_dict()
+        for name, value in left.classifier.state_dict().items():
+            assert value.dtype == np.float64, name
+            np.testing.assert_array_equal(value, cold_state[name])
 
 
 def test_prompted_suspicious_cache_keys_on_model_content(

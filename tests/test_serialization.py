@@ -139,76 +139,3 @@ def test_meta_classifier_state_round_trip(
     restored = ser.load_meta_classifier(artifact)
     for item in prompted:
         assert restored.backdoor_score(item) == meta.backdoor_score(item)
-
-
-def test_mntd_defense_round_trip_bit_identical(micro_profile, tiny_dataset, trained_mlp, tmp_path):
-    """MNTD save/load: ``score_model`` outputs must be bit-identical (the
-    ROADMAP's cross-process reuse item for the baseline defense)."""
-    from repro.defenses.model_level import MNTDDefense
-
-    defense = MNTDDefense(
-        profile=micro_profile,
-        architecture="mlp",
-        shadow_attacks=("badnets", "blend"),
-        num_queries=4,
-        threshold=0.4,
-        seed=7,
-    )
-    defense.fit(tiny_dataset)
-    directory = defense.save(tmp_path / "mntd")
-
-    restored = MNTDDefense.load(directory)
-    assert restored.profile == defense.profile
-    assert restored.architecture == defense.architecture
-    assert restored.shadow_attacks == defense.shadow_attacks
-    assert restored.num_queries == defense.num_queries
-    assert restored.threshold == defense.threshold
-    assert restored.seed == defense.seed
-    np.testing.assert_array_equal(restored._query_images, defense._query_images)
-    # exact equality, not allclose: the forest and query probes round-trip
-    # byte for byte, so the score path has no rounding seam at all
-    assert restored.score_model(trained_mlp, tiny_dataset) == defense.score_model(
-        trained_mlp, tiny_dataset
-    )
-
-
-def test_mntd_precision_round_trips_and_back_compat(
-    micro_profile, tiny_dataset, trained_mlp, tmp_path
-):
-    """A float32-fitted MNTD reloads in its tier; pre-split artifacts are float64."""
-    import json
-
-    from repro.defenses.model_level import MNTDDefense
-
-    defense = MNTDDefense(
-        profile=micro_profile,
-        architecture="mlp",
-        shadow_attacks=("badnets",),
-        num_queries=4,
-        seed=7,
-        precision="float32",
-    )
-    defense.fit(tiny_dataset)
-    assert all(s.classifier.dtype == np.float32 for s in defense.shadow_models)
-    directory = defense.save(tmp_path / "mntd32")
-    restored = MNTDDefense.load(directory)
-    assert restored.precision == "float32"
-    # the meta forest and query probes round-trip byte for byte regardless of
-    # the tier the shadow pool trained in, so scores still match exactly
-    assert restored.score_model(trained_mlp, tiny_dataset) == defense.score_model(
-        trained_mlp, tiny_dataset
-    )
-
-    # artifacts written before the precision split carry no entry -> float64
-    meta_path = directory / "mntd.meta.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["precision"]
-    meta_path.write_text(json.dumps(meta))
-    assert MNTDDefense.load(directory).precision == "float64"
-
-
-def test_mntd_defense_save_requires_fit(micro_profile, tmp_path):
-    from repro.defenses.model_level import MNTDDefense
-
-    with pytest.raises(ValueError, match="fitted"):
-        MNTDDefense(profile=micro_profile, architecture="mlp").save(tmp_path / "mntd")

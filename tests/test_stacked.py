@@ -107,18 +107,19 @@ def test_stacked_run_warms_cache_for_sequential_run(
             runtime=RuntimeConfig(cache_dir=str(cache_dir), shadow_training=mode),
         )
         detector.fit(tiny_dataset, tiny_dataset, tiny_test_dataset)
-        cached = {r.name: r.cached for r in detector.stage_reports}
-        return detector, cached
+        # the prompt stage can only load when the shadow pool did (its key
+        # carries the pool's fingerprint), so two hits mean both stages loaded
+        return detector, detector._store.hits
 
-    first, first_cached = fit("stacked", tmp_path / "a")
-    assert first_cached["shadow"] is False
-    second, second_cached = fit("sequential", tmp_path / "a")
-    assert second_cached["shadow"] is True  # stacked run warmed the cache
+    first, first_hits = fit("stacked", tmp_path / "a")
+    assert first_hits == 0
+    second, second_hits = fit("sequential", tmp_path / "a")
+    assert second_hits == 2  # stacked run warmed the cache
 
-    third, third_cached = fit("sequential", tmp_path / "b")
-    assert third_cached["shadow"] is False
-    fourth, fourth_cached = fit("stacked", tmp_path / "b")
-    assert fourth_cached["shadow"] is True  # ... and vice versa
+    third, third_hits = fit("sequential", tmp_path / "b")
+    assert third_hits == 0
+    fourth, fourth_hits = fit("stacked", tmp_path / "b")
+    assert fourth_hits == 2  # ... and vice versa
 
     for left, right in ((first, second), (third, fourth)):
         for a, b in zip(left.shadow_models, right.shadow_models):
@@ -132,15 +133,22 @@ def test_training_mode_resolution(monkeypatch):
     # auto policy: CNN/MLP pools stay sequential, transformer pools stack
     assert factory.resolve_training_mode() == "sequential"
     assert ShadowModelFactory(architecture="vit").resolve_training_mode() == "stacked"
-    # env var overrides the auto policy ...
+    # the env var overrides the auto policy through RuntimeConfig.from_env,
+    # the one place it is read; a factory never reads it itself
     monkeypatch.setenv("REPRO_SHADOW_TRAINING", "stacked")
-    assert factory.resolve_training_mode() == "stacked"
-    # ... and an explicit constructor mode overrides the env var
+    assert factory.resolve_training_mode() == "sequential"
+    from_env = RuntimeConfig.from_env().shadow_training
+    assert from_env == "stacked"
+    configured = ShadowModelFactory(architecture="mlp", training_mode=from_env)
+    assert configured.resolve_training_mode() == "stacked"
+    # an explicit constructor mode is used as given
     explicit = ShadowModelFactory(architecture="mlp", training_mode="sequential")
     assert explicit.resolve_training_mode() == "sequential"
     monkeypatch.setenv("REPRO_SHADOW_TRAINING", "bogus")
     with pytest.raises(ValueError):
-        factory.resolve_training_mode()
+        RuntimeConfig.from_env()
+    with pytest.raises(ValueError):
+        ShadowModelFactory(architecture="mlp", training_mode="bogus").resolve_training_mode()
 
 
 def test_architecture_family():
@@ -165,9 +173,8 @@ def test_auto_mode_yields_to_parallel_executor(
     """Under "auto" a multi-worker executor outranks stacking; explicit
     "stacked" keeps the model-axis engine even when an executor is supplied."""
     import repro.core.shadow as shadow_mod
-    from repro.runtime.executor import ParallelExecutor
+    from repro.runtime.executor import WorkerPool
 
-    monkeypatch.delenv("REPRO_SHADOW_TRAINING", raising=False)
     calls = []
     original = shadow_mod.fit_stacked
 
@@ -179,22 +186,21 @@ def test_auto_mode_yields_to_parallel_executor(
     profile = micro_profile.with_overrides(
         classifier=TrainingConfig(epochs=1, batch_size=16, learning_rate=1e-2)
     )
-    executor = ParallelExecutor(2, "thread")
+    with WorkerPool(2, "thread") as executor:
+        auto = ShadowModelFactory(profile=profile, architecture="vit", seed=2)
+        auto.build_pool(tiny_dataset, num_clean=1, num_backdoor=1, executor=executor)
+        assert calls == []  # auto + parallel executor -> per-model fan-out
 
-    auto = ShadowModelFactory(profile=profile, architecture="vit", seed=2)
-    auto.build_pool(tiny_dataset, num_clean=1, num_backdoor=1, executor=executor)
-    assert calls == []  # auto + parallel executor -> per-model fan-out
-
-    forced = ShadowModelFactory(
-        profile=profile, architecture="vit", seed=2, training_mode="stacked"
-    )
-    forced.build_pool(tiny_dataset, num_clean=1, num_backdoor=1, executor=executor)
-    assert calls == ["stacked"]
+        forced = ShadowModelFactory(
+            profile=profile, architecture="vit", seed=2, training_mode="stacked"
+        )
+        forced.build_pool(tiny_dataset, num_clean=1, num_backdoor=1, executor=executor)
+        assert calls == ["stacked"]
 
 
 def test_unstackable_fallback_uses_executor(micro_profile, tiny_dataset, monkeypatch):
     import repro.core.shadow as shadow_mod
-    from repro.runtime.executor import ParallelExecutor
+    from repro.runtime.executor import WorkerPool
 
     def raise_unstackable(*args, **kwargs):
         raise UnstackableModelError("forced for the test")
@@ -203,11 +209,10 @@ def test_unstackable_fallback_uses_executor(micro_profile, tiny_dataset, monkeyp
         profile=micro_profile, architecture="mlp", seed=5, training_mode="sequential"
     ).build_pool(tiny_dataset, num_clean=1, num_backdoor=1)
     monkeypatch.setattr(shadow_mod, "fit_stacked", raise_unstackable)
-    fallback = ShadowModelFactory(
-        profile=micro_profile, architecture="mlp", seed=5, training_mode="stacked"
-    ).build_pool(
-        tiny_dataset, num_clean=1, num_backdoor=1, executor=ParallelExecutor(2, "thread")
-    )
+    with WorkerPool(2, "thread") as pool:
+        fallback = ShadowModelFactory(
+            profile=micro_profile, architecture="mlp", seed=5, training_mode="stacked"
+        ).build_pool(tiny_dataset, num_clean=1, num_backdoor=1, executor=pool)
     _assert_pools_match(sequential, fallback, tolerance=0.0)
 
 

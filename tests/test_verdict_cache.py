@@ -108,7 +108,9 @@ def test_store_round_trip_is_bit_identical(tmp_path):
 
 
 def test_nan_accuracy_survives_the_round_trip(tmp_path):
-    """MNTD verdicts carry ``prompted_accuracy=nan``; JSON must not choke."""
+    """``prompted_accuracy`` is nan when an inspection had no evaluation set,
+    and in the verdicts that MNTD tenants once wrote to stores; JSON must not
+    choke on it."""
     key = verdict_cache_key("fp", "digest", "float64")
     disk_cache(tmp_path).store_verdict(key, make_verdict(accuracy=float("nan")))
     served = disk_cache(tmp_path).lookup(key, "resub")

@@ -1,6 +1,6 @@
-"""Tests for the tenant worker-pool layer: executor parity across backends,
-:class:`WorkerPool` lifecycle, the BLAS thread cap every pool holds while it
-runs, and :class:`DetectorRef` hydration.
+"""Tests for the worker-pool layer: ``map``/``submit`` parity across
+backends, :class:`WorkerPool` lifecycle, the BLAS thread cap every pool holds
+while it runs, and :class:`DetectorRef` hydration.
 
 The process backend's whole contract is that it is *invisible* to results:
 per-task seeds derive from stable task identities, detectors hydrate from the
@@ -20,9 +20,9 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.core import BpromDetector
 from repro.models.registry import build_classifier
-from repro.runtime import DetectorRegistry, ParallelExecutor, executor
+from repro.runtime import DetectorRegistry, WorkerPool, executor
 from repro.runtime.registry import DetectorSpec
-from repro.runtime.workers import _HYDRATED, DetectorRef, WorkerPool, resolve_detector
+from repro.runtime.workers import _HYDRATED, DetectorRef, resolve_detector
 from repro.utils.rng import derive_seed
 
 BACKENDS = ("serial", "thread", "process")
@@ -37,15 +37,18 @@ def _seeded_draw(item):
 
 
 # ---------------------------------------------------------------------------
-# ParallelExecutor parity: serial / thread / process
+# map / submit parity: serial / thread / process
 # ---------------------------------------------------------------------------
 
 def test_executor_map_results_identical_across_backends():
     items = [(index, 123) for index in range(6)]
     expected = [_seeded_draw(item) for item in items]
     for backend in BACKENDS:
-        executor = ParallelExecutor(workers=2, backend=backend)
-        assert executor.map(_seeded_draw, items) == expected, backend
+        with WorkerPool(workers=2, backend=backend) as pool:
+            assert pool.map(_seeded_draw, items) == expected, backend
+            # map reuses the one executor and counts no submitted tasks
+            assert pool.map(_seeded_draw, items) == expected, backend
+            assert pool.stats()["tasks"] == 0
 
 
 def test_pool_submit_results_identical_across_backends():
@@ -190,7 +193,8 @@ def test_thread_pool_caps_blas_threads_until_close(blas_threads):
 
 def test_executor_map_restores_blas_threads_when_a_task_raises(blas_threads):
     with pytest.raises(ValueError, match="task failed"):
-        ParallelExecutor(2, "thread").map(_explode, [0, 1])
+        with WorkerPool(2, "thread") as pool:
+            pool.map(_explode, [0, 1])
     assert _blas_threads() == blas_threads
 
 
@@ -219,8 +223,8 @@ def test_pools_run_without_openblas(monkeypatch, backend):
     before = _OPENBLAS[0]() if _OPENBLAS is not None else None
     items = [(index, 5) for index in range(4)]
     expected = [_seeded_draw(item) for item in items]
-    assert ParallelExecutor(2, backend).map(_seeded_draw, items) == expected
     with WorkerPool(workers=2, backend=backend) as pool:
+        assert pool.map(_seeded_draw, items) == expected
         assert [pool.submit(_seeded_draw, item).result() for item in items] == expected
         if before is not None:  # a pool that found no OpenBLAS touches nothing
             assert pool.submit(_blas_threads).result() == before
