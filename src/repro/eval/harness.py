@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.attacks.base import BackdoorAttack
 from repro.attacks.registry import attack_defaults, build_attack, canonical_attack_name
-from repro.config import ExperimentProfile, FAST, RuntimeConfig, profile_to_dict
+from repro.config import DEFAULT_RUNTIME, ExperimentProfile, FAST, RuntimeConfig, profile_to_dict
 from repro.core.detector import BpromDetector
 from repro.core.shadow import ShadowModel, ShadowModelFactory
 from repro.datasets.base import ImageDataset
@@ -318,11 +318,14 @@ class ExperimentContext:
         key = (dataset_name, architecture, shadow_attack, reserved_fraction, num_clean, num_backdoor)
         if key not in self._shadow_pools:
             reserved = self.reserved_clean(dataset_name, reserved_fraction)
+            runtime = self.runtime or DEFAULT_RUNTIME
             factory = ShadowModelFactory(
                 profile=self.profile,
                 architecture=architecture,
                 shadow_attack=shadow_attack,
                 seed=derive_seed(self.seed, "shadow-pool", *key[:3]),
+                training_mode=runtime.shadow_training,
+                precision=runtime.precision,
             )
             store_key = self._store_key(
                 kind="shadow-pool",
@@ -333,6 +336,8 @@ class ExperimentContext:
                 num_clean=num_clean,
                 num_backdoor=num_backdoor,
             )
+            if runtime.precision != "float64":
+                store_key["precision"] = runtime.precision
             clean = self.profile.clean_shadow_models if num_clean is None else num_clean
             backdoor = (
                 self.profile.backdoor_shadow_models if num_backdoor is None else num_backdoor
@@ -385,6 +390,9 @@ class ExperimentContext:
             num_clean_shadows=num_clean_shadows,
             num_backdoor_shadows=num_backdoor_shadows,
         )
+        precision = (self.runtime or DEFAULT_RUNTIME).precision
+        if precision != "float64":
+            store_key["precision"] = precision
 
         def build() -> BpromDetector:
             reserved = self.reserved_clean(source_dataset, reserved_fraction)

@@ -88,11 +88,14 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 # Shape/dtype contract (shared by the explicit im2col GEMM path and the
 # implicit-GEMM engine in repro.nn.conv, which must stay interchangeable):
 #
-# * im2col(x: (N, C, H, W)) -> cols: (N*out_h*out_w, C*kernel*kernel), with
-#   rows ordered image-major then row-major over the output grid, and columns
-#   ordered channel-major then (ky, kx) row-major over the kernel window.
+# * im2col(x: (N, C, H, W)) -> cols: (N*out_h*out_w, C*kernel*kernel), a
+#   C-contiguous matrix with rows ordered image-major then row-major over the
+#   output grid, and columns ordered channel-major then (ky, kx) row-major
+#   over the kernel window.  It is a pure gather of input elements, so the
+#   GEMM that consumes it sees the same operand whatever the input's strides.
 #   conv_windows exposes the same placement tensor as a strided
-#   (N, C, out_h, out_w, k, k) view without the column copy.
+#   (N, C, out_h, out_w, k, k) view without the column copy; the implicit
+#   engine contracts over it, and the tests use it as the reference unfold.
 # * col2im(cols) is the exact adjoint: scatter-add over the same ordering,
 #   back to (N, C, H, W).
 # * Both preserve the input dtype (float32 stays float32; the accumulator in
@@ -123,26 +126,33 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _pad_zeros(x: np.ndarray, padding: int) -> np.ndarray:
+    """A C-contiguous copy of an NCHW batch inside a zero border ``padding`` wide."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    out[:, :, padding : padding + h, padding : padding + w] = x
+    return out
+
+
 def conv_windows(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
     """Strided kernel-placement view over an NCHW batch (no data copied).
 
     Returns ``(windows, out_h, out_w)`` where ``windows`` is a zero-copy
-    ``(N, C, out_h, out_w, kernel, kernel)`` view (over a padded copy when
-    ``padding > 0``) whose ``[n, c, i, j]`` block is the receptive field of
-    output pixel ``(i, j)``.  ``im2col`` is exactly
-    ``windows.transpose(0, 2, 3, 1, 4, 5).reshape(N*out_h*out_w, C*k*k)``;
-    the implicit-GEMM conv engine contracts over this view directly instead
-    of materialising that k^2-times-larger column copy.
+    ``(N, C, out_h, out_w, kernel, kernel)`` view (over a zero-padded copy
+    when ``padding > 0``) whose ``[n, c, i, j]`` block is the receptive field
+    of output pixel ``(i, j)``.  The implicit-GEMM conv engine contracts over
+    this view directly instead of materialising the k^2-times-larger column
+    copy.  ``im2col`` gathers exactly
+    ``windows.transpose(0, 2, 3, 1, 4, 5).reshape(N*out_h*out_w, C*k*k)``,
+    which the tests keep as its reference.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
     if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
+        x = _pad_zeros(x, padding)
     windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
     return windows[:, :, ::stride, ::stride], out_h, out_w
 
@@ -152,19 +162,36 @@ def im2col(
 ) -> Tuple[np.ndarray, int, int]:
     """Unfold an NCHW batch into a column matrix.
 
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N * out_h * out_w, C * kernel * kernel)`` — see the module-level
-    contract above for the exact row/column ordering.
+    Returns ``(cols, out_h, out_w)`` where ``cols`` is a C-contiguous
+    ``(N * out_h * out_w, C * kernel * kernel)`` matrix — see the
+    module-level contract above for the exact row/column ordering.
 
-    Built on :func:`conv_windows`: the unfold itself is a zero-copy view (no
-    per-offset Python loop), and the only copy is the final reshape into
-    column layout.  The input dtype is preserved, so float32 megabatches stay
-    float32 end to end.
+    The unfold is one ``np.take`` gather over a zero-padded C-contiguous copy
+    of the input viewed as ``(N, C*H_pad*W_pad)``, through a flat per-image
+    index built here from the geometry: column ``(c, ky, kx)`` of output
+    pixel ``(i, j)`` reads ``c*H_pad*W_pad + (i*stride + ky)*W_pad +
+    j*stride + kx``.  Reshaping the :func:`conv_windows` view into columns
+    copies the same elements in runs of only ``kernel``; the gather writes
+    the column matrix in one pass.  The input dtype is preserved, so float32
+    megabatches stay float32 end to end.
     """
-    n, c = x.shape[:2]
-    windows, out_h, out_w = conv_windows(x, kernel, stride, padding)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel * kernel)
-    return cols, out_h, out_w
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    padded = _pad_zeros(x, padding) if padding > 0 else np.ascontiguousarray(x)
+    h_pad, w_pad = h + 2 * padding, w + 2 * padding
+    window = np.arange(kernel)
+    index = (
+        (np.arange(out_h) * (stride * w_pad))[:, None, None, None, None]
+        + (np.arange(out_w) * stride)[None, :, None, None, None]
+        + (np.arange(c) * (h_pad * w_pad))[None, None, :, None, None]
+        + (window * w_pad)[:, None]
+        + window
+    )
+    cols = np.take(
+        padded.reshape(n, c * h_pad * w_pad), index.reshape(-1), axis=1, mode="clip"
+    )
+    return cols.reshape(n * out_h * out_w, c * kernel * kernel), out_h, out_w
 
 
 def _fold_block(padded, cols6, kernel: int, stride: int, out_h: int, out_w: int) -> None:

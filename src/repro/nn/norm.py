@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn import init
@@ -53,9 +55,19 @@ class _BatchNormBase(Module):
             mean = self.get_buffer("running_mean")
             var = self.get_buffer("running_var")
         self._std_inv = 1.0 / np.sqrt(var + self.eps)
-        self._x_hat = (x2 - mean) * self._std_inv
-        out2 = self.gamma.data * self._x_hat + self.beta.data
-        return self._from_2d(out2, x.shape)
+        # the element-wise steps run on per-sample rows against per-channel
+        # vectors tiled to the row length: BatchNorm2d's (N*H*W, C) matrix
+        # would broadcast in inner loops only C long.  Every element still
+        # sees ((x - mean) * std_inv) * gamma + beta in that order, so the
+        # bytes match the (rows, C) broadcast form exactly.
+        reps = math.prod(x.shape[2:])
+        rows = x2.reshape(x.shape[0], reps * x2.shape[1])
+        x_hat = rows - np.tile(mean, reps)
+        x_hat *= np.tile(self._std_inv, reps)
+        out = x_hat * np.tile(self.gamma.data, reps)
+        out += np.tile(self.beta.data, reps)
+        self._x_hat = x_hat.reshape(x2.shape)
+        return self._from_2d(out.reshape(x2.shape), x.shape)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         g2 = self._to_2d(grad_output)

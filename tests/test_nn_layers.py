@@ -249,20 +249,176 @@ def test_im2col_col2im_are_adjoint(rng):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _reference_im2col(x, kernel, stride, padding):
+    """Reference unfold: ``np.pad``, then the strided kernel-placement view
+    reshaped into columns."""
+    n, c = x.shape[:2]
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2:4]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kernel * kernel)
+    return cols, out_h, out_w
+
+
+def _reference_batchnorm_forward(self, x):
+    """Reference BatchNorm forward: every element-wise step broadcasts the
+    per-channel vectors over the ``(rows, C)`` matrix."""
+    self._shape = x.shape
+    x2 = self._to_2d(x)
+    if self.training:
+        mean = x2.mean(axis=0)
+        var = x2.var(axis=0)
+        n = x2.shape[0]
+        unbiased = var * n / max(n - 1, 1)
+        self.set_buffer(
+            "running_mean",
+            (1 - self.momentum) * self.get_buffer("running_mean") + self.momentum * mean,
+        )
+        self.set_buffer(
+            "running_var",
+            (1 - self.momentum) * self.get_buffer("running_var") + self.momentum * unbiased,
+        )
+    else:
+        mean = self.get_buffer("running_mean")
+        var = self.get_buffer("running_var")
+    self._std_inv = 1.0 / np.sqrt(var + self.eps)
+    self._x_hat = (x2 - mean) * self._std_inv
+    out2 = self.gamma.data * self._x_hat + self.beta.data
+    return self._from_2d(out2, x.shape)
+
+
+def _im2col_inputs(rng):
+    """NCHW batches with the layouts the networks feed ``im2col``."""
+    channel_last = rng.normal(size=(2, 9, 9, 5)).transpose(0, 3, 1, 2)
+    yield channel_last  # what BatchNorm2d and the activations after it return
+    yield channel_last[:, 1:4]  # a group slice, as Conv2d._unfold_group passes
+    yield rng.normal(size=(2, 3, 9, 9))
+    yield rng.normal(size=(1, 3, 9, 9))
+    yield rng.normal(size=(2, 3, 9, 9)).astype(np.float32)
+
+
 def test_im2col_matches_reference_loop(rng):
-    """The sliding_window_view unfold equals the per-offset gather, any geometry."""
-    for kernel, stride, padding in ((3, 1, 1), (2, 2, 0), (3, 2, 1), (4, 3, 2)):
-        x = rng.normal(size=(2, 3, 9, 9))
-        cols, out_h, out_w = im2col(x, kernel=kernel, stride=stride, padding=padding)
-        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        reference = np.empty((2, 3, kernel, kernel, out_h, out_w))
-        for ky in range(kernel):
-            for kx in range(kernel):
-                reference[:, :, ky, kx] = padded[
-                    :, :, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride
-                ]
-        reference = reference.transpose(0, 4, 5, 1, 2, 3).reshape(cols.shape)
-        np.testing.assert_array_equal(cols, reference)
+    """The gather unfold equals the per-offset loop and the strided-view
+    unfold byte for byte, for any geometry, layout and dtype."""
+    geometries = ((3, 1, 1), (2, 2, 0), (3, 2, 1), (4, 3, 2), (1, 2, 0))
+    for x in _im2col_inputs(rng):
+        n, c = x.shape[:2]
+        for kernel, stride, padding in geometries:
+            cols, out_h, out_w = im2col(x, kernel=kernel, stride=stride, padding=padding)
+            assert cols.flags.c_contiguous
+            assert cols.dtype == x.dtype
+            padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            reference = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+            for ky in range(kernel):
+                for kx in range(kernel):
+                    reference[:, :, ky, kx] = padded[
+                        :, :, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride
+                    ]
+            reference = reference.transpose(0, 4, 5, 1, 2, 3).reshape(cols.shape)
+            np.testing.assert_array_equal(cols, reference)
+            np.testing.assert_array_equal(cols, _reference_im2col(x, kernel, stride, padding)[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize(
+    "kind,layout",
+    [("2d", "channel-last"), ("2d", "nchw"), ("1d", "contiguous"), ("1d", "transposed")],
+)
+def test_batchnorm_matches_reference_broadcast(kind, layout, training, dtype, rng):
+    """The per-sample-row forward gives the (rows, C) broadcast form's bytes:
+    output (and its strides), the retained x_hat and the backward grads."""
+    if kind == "2d":
+        shape = (4, 6, 5, 5)
+        x = rng.normal(1.0, 2.0, size=(4, 5, 5, 6)).transpose(0, 3, 1, 2)
+        make = nn.BatchNorm2d
+    else:
+        shape = (12, 6)
+        x = rng.normal(1.0, 2.0, size=(6, 12)).T
+        make = nn.BatchNorm1d
+    if layout in ("nchw", "contiguous"):
+        x = np.ascontiguousarray(x)
+    x = x.astype(dtype, copy=False)
+    assert x.shape == shape
+    upstream = rng.normal(size=shape).astype(dtype)
+    params = {
+        name: rng.uniform(0.5, 1.5, size=6) if name in ("gamma", "running_var")
+        else rng.normal(size=6)
+        for name in ("gamma", "beta", "running_mean", "running_var")
+    }
+
+    def run(forward):
+        bn = make(6)
+        bn.gamma.data = params["gamma"].copy()
+        bn.beta.data = params["beta"].copy()
+        bn.set_buffer("running_mean", params["running_mean"].copy())
+        bn.set_buffer("running_var", params["running_var"].copy())
+        bn.astype(dtype)
+        if not training:
+            bn.eval()
+        out = forward(bn, x)
+        grad = bn.backward(upstream)
+        return bn, out, grad
+
+    new_bn, new_out, new_grad = run(make.forward)
+    ref_bn, ref_out, ref_grad = run(_reference_batchnorm_forward)
+    assert new_out.strides == ref_out.strides
+    assert new_bn._x_hat.strides == ref_bn._x_hat.strides
+    for new, ref in (
+        (new_out, ref_out),
+        (new_bn._x_hat, ref_bn._x_hat),
+        (new_grad, ref_grad),
+        (new_bn.gamma.grad, ref_bn.gamma.grad),
+        (new_bn.beta.grad, ref_bn.beta.grad),
+        (new_bn.get_buffer("running_mean"), ref_bn.get_buffer("running_mean")),
+        (new_bn.get_buffer("running_var"), ref_bn.get_buffer("running_var")),
+    ):
+        assert new.dtype == ref.dtype
+        assert new.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("architecture", ["resnet18", "mobilenetv2"])
+def test_models_match_reference_kernels(architecture, tiny_dataset, monkeypatch):
+    """Whole networks give the same bytes as with the strided-view im2col and
+    the broadcast BatchNorm forward patched in: eval predict_proba, the eval
+    input gradient (white-box prompting's re-unfold) and the state dict after
+    one training step.  Both runs share this host's BLAS, so any build holds."""
+    from repro.config import TrainingConfig
+    from repro.models.registry import build_classifier
+    from repro.nn import conv, norm, pooling
+
+    images = np.random.default_rng(5).normal(size=(6, 3, 12, 12))
+
+    def run():
+        clf = build_classifier(architecture, tiny_dataset.num_classes, image_size=12, rng=11)
+        # off-default BatchNorm parameters, so a reordered gamma/std_inv rounds
+        bn_rng = np.random.default_rng(7)
+        for module in clf.model.modules():
+            if isinstance(module, norm._BatchNormBase):
+                size = module.num_features
+                module.gamma.data = bn_rng.uniform(0.5, 1.5, size=size)
+                module.beta.data = bn_rng.normal(size=size)
+                module.set_buffer("running_mean", bn_rng.normal(size=size))
+                module.set_buffer("running_var", bn_rng.uniform(0.5, 1.5, size=size))
+        proba = clf.predict_proba(images)
+        logits = clf.model(images)
+        input_grad = clf.model.backward(np.ones_like(logits))
+        clf.fit(
+            tiny_dataset,
+            TrainingConfig(epochs=1, batch_size=len(tiny_dataset)),
+            rng=3,
+        )
+        return [proba, input_grad, *clf.model.state_dict().values()]
+
+    new = run()
+    monkeypatch.setattr(conv, "im2col", _reference_im2col)
+    monkeypatch.setattr(pooling, "im2col", _reference_im2col)
+    monkeypatch.setattr(norm._BatchNormBase, "forward", _reference_batchnorm_forward)
+    reference = run()
+    assert len(new) == len(reference)
+    for left, right in zip(new, reference):
+        assert left.tobytes() == right.tobytes()
 
 
 def test_im2col_preserves_dtype(rng):

@@ -379,9 +379,9 @@ def test_warm_store_skips_all_training(micro_profile, tmp_path, monkeypatch):
 def test_context_shadow_pool_ignores_the_precision_variable(
     micro_profile, tmp_path, monkeypatch
 ):
-    """A context's shadow-pool key carries no precision, so the pool must be
-    float64 whatever ``REPRO_PRECISION`` says: a pool written with the
-    variable set reads back equal to a cold float64 pool."""
+    """On the float64 tier a context's shadow-pool key carries no precision,
+    so the pool must be float64 whatever ``REPRO_PRECISION`` says: a pool
+    written with the variable set reads back equal to a cold float64 pool."""
     profile = micro_profile.with_overrides(name="micro-precision")
     runtime = RuntimeConfig(cache_dir=str(tmp_path))
     pool_args = ("cifar10", "mlp", "badnets", None, 1, 1)
@@ -398,6 +398,32 @@ def test_context_shadow_pool_ignores_the_precision_variable(
         for name, value in left.classifier.state_dict().items():
             assert value.dtype == np.float64, name
             np.testing.assert_array_equal(value, cold_state[name])
+
+
+def test_context_shadow_pool_trains_in_the_runtime_precision(micro_profile):
+    """A float32 context trains its shadow pool in float32."""
+    profile = micro_profile.with_overrides(name="micro-fp32-pool")
+    context = ExperimentContext(
+        profile, seed=0, runtime=RuntimeConfig(precision="float32")
+    )
+    pool = context.shadow_pool("cifar10", "mlp", "badnets", None, 1, 1)
+    for shadow in pool:
+        for name, value in shadow.classifier.state_dict().items():
+            assert value.dtype == np.float32, name
+
+
+def test_context_detector_key_separates_precision_tiers(micro_profile, tmp_path):
+    """A float32 context sharing a store with a float64 context fits its own
+    float32 detector instead of loading the float64 one."""
+    profile = micro_profile.with_overrides(name="micro-tiers")
+    detector_args = ("cifar10", "stl10", "mlp", "badnets", None, 1, 1)
+    float64 = ExperimentContext(profile, seed=0, runtime=RuntimeConfig(cache_dir=str(tmp_path)))
+    assert float64.detector(*detector_args).runtime.precision == "float64"
+    float32 = ExperimentContext(
+        profile, seed=0, runtime=RuntimeConfig(cache_dir=str(tmp_path), precision="float32")
+    )
+    assert float32.detector(*detector_args).runtime.precision == "float32"
+    assert float32.store.hits == 0
 
 
 def test_prompted_suspicious_cache_keys_on_model_content(
