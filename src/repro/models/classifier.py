@@ -162,12 +162,14 @@ class ImageClassifier:
 
     # -- inference ------------------------------------------------------------
     def predict_logits(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Raw logits for an NCHW batch (model switched to eval mode)."""
+        """Raw logits for an NCHW batch (model switched to eval mode; the
+        forwards run under ``nn.no_grad()`` and keep no backward state)."""
         self.model.eval()
         images = self._as_input(images)
         outputs = []
-        for start in range(0, images.shape[0], batch_size):
-            outputs.append(self.model(images[start : start + batch_size]))
+        with nn.no_grad():
+            for start in range(0, images.shape[0], batch_size):
+                outputs.append(self.model(images[start : start + batch_size]))
         if not outputs:
             return np.empty((0, self.num_classes), dtype=self.dtype)
         return np.concatenate(outputs, axis=0)
@@ -185,8 +187,9 @@ class ImageClassifier:
         self.model.eval()
         images = self._as_input(images)
         outputs = []
-        for start in range(0, images.shape[0], batch_size):
-            outputs.append(self.model.features(images[start : start + batch_size]))
+        with nn.no_grad():
+            for start in range(0, images.shape[0], batch_size):
+                outputs.append(self.model.features(images[start : start + batch_size]))
         return np.concatenate(outputs, axis=0)
 
     # -- evaluation -------------------------------------------------------------

@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, grad_enabled
 
 
 class ReLU(Module):
     """Rectified linear unit."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if grad_enabled() else None
+        return x * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._mask
+        return grad_output * self._saved(self._mask)
 
 
 class LeakyReLU(Module):
@@ -26,11 +27,13 @@ class LeakyReLU(Module):
         self.negative_slope = float(negative_slope)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        self._mask = mask if grad_enabled() else None
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
+        mask = self._saved(self._mask)
+        return np.where(mask, grad_output, self.negative_slope * grad_output)
 
 
 class GELU(Module):
@@ -41,13 +44,12 @@ class GELU(Module):
     _C = float(np.sqrt(2.0 / np.pi))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        self._inner = self._C * (x + 0.044715 * x**3)
-        self._tanh = np.tanh(self._inner)
-        return 0.5 * x * (1.0 + self._tanh)
+        tanh = np.tanh(self._C * (x + 0.044715 * x**3))
+        self._x, self._tanh = (x, tanh) if grad_enabled() else (None, None)
+        return 0.5 * x * (1.0 + tanh)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x = self._x
+        x = self._saved(self._x)
         sech2 = 1.0 - self._tanh**2
         d_inner = self._C * (1.0 + 3 * 0.044715 * x**2)
         grad = 0.5 * (1.0 + self._tanh) + 0.5 * x * sech2 * d_inner
@@ -66,22 +68,24 @@ class Sigmoid(Module):
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         expx = np.exp(x[~pos])
         out[~pos] = expx / (1.0 + expx)
-        self._out = out
+        self._out = out if grad_enabled() else None
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._out * (1.0 - self._out)
+        out = self._saved(self._out)
+        return grad_output * out * (1.0 - out)
 
 
 class Tanh(Module):
     """Hyperbolic tangent."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._out = out if grad_enabled() else None
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - self._out**2)
+        return grad_output * (1.0 - self._saved(self._out) ** 2)
 
 
 class Identity(Module):

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nn.functional import softmax
 from repro.nn.layers import Linear
-from repro.nn.module import Module
+from repro.nn.module import Module, grad_enabled
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
@@ -109,7 +109,13 @@ class MultiHeadSelfAttention(Module):
         scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
         attn = softmax(scores, axis=-1)
         context = np.matmul(attn, v)
-        self._q, self._k, self._v, self._attn, self._scale = q, k, v, attn, scale
+        # backward reads all four even when the projections are frozen;
+        # under no_grad() out_proj.backward raises before they are read
+        if grad_enabled():
+            self._q, self._k, self._v, self._attn = q, k, v, attn
+        else:
+            self._q = self._k = self._v = self._attn = None
+        self._scale = scale
         merged = self._merge_heads(context)
         return self.out_proj(merged)
 

@@ -28,6 +28,12 @@ heuristic (implicit once the would-be column buffer exceeds
 ``_IMPLICIT_MIN_COLS_BYTES``; dispatch-bound small shapes stay on im2col).
 ``REPRO_CONV_ENGINE`` (``auto`` | ``im2col`` | ``implicit``) overrides the
 heuristic in any dtype for benchmarking and the engine-parity tests.
+
+Every engine keeps its weight-gradient operand (the strided input, the
+placement view or the k^2-sized column buffer) only when backward will
+compute the weight gradient: not under :func:`~repro.nn.module.no_grad`
+(inference) and not for a frozen weight (white-box prompting's source model).
+The input gradient reads none of them, so no backward ever re-unfolds.
 """
 
 from __future__ import annotations
@@ -149,6 +155,7 @@ class Conv2d(Module):
         return x[:, :, :: self.stride, :: self.stride]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self._grads = self._grad_params()
         self._input_shape = x.shape
         self._dtype = x.dtype
         engine = self._select_engine(x)
@@ -158,6 +165,11 @@ class Conv2d(Module):
         if engine == "implicit":
             return self._forward_implicit(x)
         return self._forward_im2col(x)
+
+    def _keeps_weight_operand(self) -> bool:
+        """Whether this forward's backward computes the weight gradient, the
+        one reader of the engine's operand (see the module docstring)."""
+        return "weight" in (self._grads or ())
 
     def _forward_pointwise(self, x: np.ndarray) -> np.ndarray:
         # a 1x1 convolution is channel mixing: (C_out, C_in) @ (N, C_in, L)
@@ -169,10 +181,7 @@ class Conv2d(Module):
         xs = self._strided_input(x)
         out_h, out_w = xs.shape[2], xs.shape[3]
         x3 = xs.reshape(n, self.in_channels, out_h * out_w)
-        # the strided view is cheap to retain; backward reuses it in both
-        # train and eval mode (white-box prompting backprops in eval)
-        self._pw_x3 = x3
-        self._out_hw = (out_h, out_w)
+        self._pw_x3 = x3 if self._keeps_weight_operand() else None
         w2 = self.weight.data.reshape(self.out_channels, self.in_channels)
         merged = np.matmul(w2, x3).reshape(n, self.out_channels, out_h, out_w)
         if self.use_bias:
@@ -183,11 +192,7 @@ class Conv2d(Module):
         windows, out_h, out_w = conv_windows(
             x, self.kernel_size, self.stride, self.padding
         )
-        # the placement view costs at most one input-sized padded copy (vs the
-        # k^2-sized column buffer), so it is retained unconditionally — eval
-        # backwards (white-box prompting) reuse it without a re-unfold
-        self._windows = windows
-        self._out_hw = (out_h, out_w)
+        self._windows = windows if self._keeps_weight_operand() else None
         merged = np.einsum(
             "nchwyx,ocyx->nohw", windows, self.weight.data, optimize=True
         )
@@ -198,16 +203,7 @@ class Conv2d(Module):
     def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         cout_g = self.out_channels // self.groups
-        # im2col buffers are kernel^2 x larger than the input.  Pure inference
-        # must not retain that training-sized scratch, but white-box prompt
-        # training backpropagates through the frozen model *in eval mode* and
-        # would pay a second unfold per step without it — so eval forwards
-        # cache the buffers only while backward passes are actually consuming
-        # them (one lazy re-unfold re-arms the cache, one backward-free
-        # forward drops it)
-        keep_cols = self.training or getattr(self, "_eval_backward_used", False)
-        self._eval_backward_used = False
-        cols_cache = [] if keep_cols else None
+        cols_cache = [] if self._keeps_weight_operand() else None
         if self.groups == 1:
             # fast path: no per-group list/concatenate round-trip
             cols, out_h, out_w = self._unfold_group(x, 0)
@@ -225,39 +221,33 @@ class Conv2d(Module):
                 outputs.append(cols @ wg.reshape(cout_g, -1).T)
             # each output is (N*out_h*out_w, cout_g); stack along channel axis
             merged = np.concatenate(outputs, axis=1)
-        self._out_hw = (out_h, out_w)
         self._cols = cols_cache
-        # the input reference backs the lazy re-unfold; moot when the cols are
-        # already cached, so retain at most one of the two
-        self._eval_input = None if keep_cols else x
         merged = merged.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         if self.use_bias:
             merged = merged + self.bias.data[None, :, None, None]
         return merged
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self.use_bias:
+        grads = self._saved(getattr(self, "_grads", None))
+        if "bias" in grads:
             self.bias.accumulate_grad(grad_output.sum(axis=(0, 2, 3)))
-        engine = getattr(self, "_engine", None)
-        if engine is None:
-            raise RuntimeError("Conv2d.backward called before forward")
-        if engine == "pointwise":
+        if self._engine == "pointwise":
             return self._backward_pointwise(grad_output)
-        if engine == "implicit":
+        if self._engine == "implicit":
             return self._backward_implicit(grad_output)
         return self._backward_im2col(grad_output)
 
     def _backward_pointwise(self, grad_output: np.ndarray) -> np.ndarray:
         n, _, out_h, out_w = grad_output.shape
         hw = out_h * out_w
-        x3 = self._pw_x3
-        # grad_weight core: (C_out, N*L) @ (N*L, C_in) — the same GEMM the
-        # im2col path issues on its column matrix
-        grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(n * hw, self.out_channels)
-        x_cols = x3.transpose(0, 2, 1).reshape(n * hw, self.in_channels)
-        self.weight.accumulate_grad(
-            (grad_flat.T @ x_cols).reshape(self.weight.data.shape)
-        )
+        if self._pw_x3 is not None:
+            # grad_weight core: (C_out, N*L) @ (N*L, C_in) — the same GEMM the
+            # im2col path issues on its column matrix
+            grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(n * hw, self.out_channels)
+            x_cols = self._pw_x3.transpose(0, 2, 1).reshape(n * hw, self.in_channels)
+            self.weight.accumulate_grad(
+                (grad_flat.T @ x_cols).reshape(self.weight.data.shape)
+            )
         w2 = self.weight.data.reshape(self.out_channels, self.in_channels)
         grad3 = np.matmul(
             w2.T, grad_output.reshape(n, self.out_channels, hw)
@@ -275,9 +265,10 @@ class Conv2d(Module):
 
     def _backward_implicit(self, grad_output: np.ndarray) -> np.ndarray:
         n, _, out_h, out_w = grad_output.shape
-        self.weight.accumulate_grad(
-            np.einsum("nohw,nchwyx->ocyx", grad_output, self._windows, optimize=True)
-        )
+        if self._windows is not None:
+            self.weight.accumulate_grad(
+                np.einsum("nohw,nchwyx->ocyx", grad_output, self._windows, optimize=True)
+            )
         grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(
             n * out_h * out_w, self.out_channels
         )
@@ -292,23 +283,13 @@ class Conv2d(Module):
         cin_g = self.in_channels // self.groups
         cout_g = self.out_channels // self.groups
         grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
-        if not self.training:
-            self._eval_backward_used = True
         cols_cache = self._cols
-        if cols_cache is None:
-            # eval-mode backward (white-box prompting runs the frozen model in
-            # eval); the im2col buffers were dropped after forward, re-unfold
-            if self._eval_input is None:
-                raise RuntimeError("Conv2d.backward called before forward")
-            cols_cache = [
-                self._unfold_group(self._eval_input, g)[0] for g in range(self.groups)
-            ]
         if self.groups == 1:
-            cols = cols_cache[0]
             w_mat = self.weight.data.reshape(self.out_channels, -1)
-            self.weight.accumulate_grad(
-                (grad_flat.T @ cols).reshape(self.weight.data.shape)
-            )
+            if cols_cache is not None:
+                self.weight.accumulate_grad(
+                    (grad_flat.T @ cols_cache[0]).reshape(self.weight.data.shape)
+                )
             # the historical full GEMM, then the cache-blocked fold (which is
             # add-order-preserving, hence bitwise equal to the unblocked one)
             grad_input = col2im(
@@ -316,18 +297,19 @@ class Conv2d(Module):
             )
             return np.asarray(grad_input, dtype=self._dtype)
         grad_input = np.empty(self._input_shape, dtype=self._dtype)
-        grad_weight = np.empty_like(self.weight.data)
+        grad_weight = None if cols_cache is None else np.empty_like(self.weight.data)
         group_input_shape = (n, cin_g, self._input_shape[2], self._input_shape[3])
         for g in range(self.groups):
             gout = grad_flat[:, g * cout_g : (g + 1) * cout_g]
-            cols = cols_cache[g]
             wg = self.weight.data[g * cout_g : (g + 1) * cout_g].reshape(cout_g, -1)
-            grad_weight[g * cout_g : (g + 1) * cout_g] = (gout.T @ cols).reshape(
-                cout_g, cin_g, self.kernel_size, self.kernel_size
-            )
+            if grad_weight is not None:
+                grad_weight[g * cout_g : (g + 1) * cout_g] = (
+                    gout.T @ cols_cache[g]
+                ).reshape(cout_g, cin_g, self.kernel_size, self.kernel_size)
             grad_cols = gout @ wg
             grad_input[:, g * cin_g : (g + 1) * cin_g] = col2im(
                 grad_cols, group_input_shape, self.kernel_size, self.stride, self.padding
             )
-        self.weight.accumulate_grad(grad_weight)
+        if grad_weight is not None:
+            self.weight.accumulate_grad(grad_weight)
         return grad_input

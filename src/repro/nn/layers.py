@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init
-from repro.nn.module import Module
+from repro.nn.module import Module, grad_enabled
 from repro.nn.parameter import Parameter
 from repro.utils.rng import SeedLike, new_rng
 
@@ -37,18 +37,22 @@ class Linear(Module):
             self.bias = Parameter(init.zeros((out_features,)), name="bias")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self._grads = self._grad_params()
         self._input_shape = x.shape
         x2 = x.reshape(-1, self.in_features)
-        self._x2 = x2
+        # the weight gradient's operand, kept only when backward computes it
+        self._x2 = x2 if "weight" in (self._grads or ()) else None
         out = x2 @ self.weight.data.T
         if self.use_bias:
             out = out + self.bias.data
         return out.reshape(*self._input_shape[:-1], self.out_features)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grads = self._saved(getattr(self, "_grads", None))
         grad2 = grad_output.reshape(-1, self.out_features)
-        self.weight.accumulate_grad(grad2.T @ self._x2)
-        if self.use_bias:
+        if "weight" in grads:
+            self.weight.accumulate_grad(grad2.T @ self._x2)
+        if "bias" in grads:
             self.bias.accumulate_grad(grad2.sum(axis=0))
         grad_input = grad2 @ self.weight.data
         return grad_input.reshape(self._input_shape)
@@ -58,11 +62,11 @@ class Flatten(Module):
     """Flatten all non-batch dimensions."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input_shape = x.shape
+        self._input_shape = x.shape if grad_enabled() else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._input_shape)
+        return grad_output.reshape(self._saved(self._input_shape))
 
 
 class Dropout(Module):
@@ -77,13 +81,17 @@ class Dropout(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+            mask = None
+        else:
+            keep = 1.0 - self.p
+            mask = (self._rng.random(x.shape) < keep) / keep
+        # a one-tuple, so an identity forward (mask None) still differs from
+        # a no_grad() forward that kept nothing
+        self._state = (mask,) if grad_enabled() else None
+        return x if mask is None else x * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        (mask,) = self._saved(self._state)
+        if mask is None:
             return grad_output
-        return grad_output * self._mask
+        return grad_output * mask

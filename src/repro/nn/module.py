@@ -1,22 +1,55 @@
-"""Module base class and Sequential container."""
+"""Module base class, Sequential container and the grad mode."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+import threading
+from contextlib import contextmanager
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.parameter import Parameter, as_param_dtype
 
 
+class _GradMode(threading.local):
+    # a class attribute, so every thread starts with grad mode on
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+def grad_enabled() -> bool:
+    """Whether forwards in this thread keep the state their backward reads."""
+    return _GRAD_MODE.enabled
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run forwards in this thread that keep no backward state.
+
+    Inference (``ImageClassifier.predict_logits``/``features``,
+    ``predict_logits_many``) runs under it; a ``backward`` after a forward
+    run here raises instead of reading an earlier forward's state.  Outputs
+    are byte-identical to a grad-mode forward.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
+
+
 class Module:
     """Base class for layers and models.
 
-    Subclasses implement :meth:`forward` and :meth:`backward`.  ``forward``
-    may cache intermediate values on ``self`` for use in ``backward``;
-    ``backward`` receives the gradient of the loss with respect to the module
-    output and must return the gradient with respect to the module input,
-    accumulating parameter gradients along the way.
+    Subclasses implement :meth:`forward` and :meth:`backward`.  In grad mode
+    ``forward`` keeps on ``self`` exactly what ``backward`` will read, and
+    under :func:`no_grad` it keeps nothing; ``backward`` receives the
+    gradient of the loss with respect to the module output and must return
+    the gradient with respect to the module input, accumulating the
+    gradients of the parameters that were trainable at forward time.
     """
 
     def __init__(self) -> None:
@@ -151,6 +184,26 @@ class Module:
         return self
 
     # -- computation ------------------------------------------------------
+    def _grad_params(self) -> Optional[FrozenSet[str]]:
+        """Names of this layer's own parameters its backward will give a
+        gradient, decided at forward time: ``None`` under :func:`no_grad`,
+        else those whose ``requires_grad`` is on.  Backward follows the
+        record even if a flag flips in between."""
+        if not grad_enabled():
+            return None
+        return frozenset(
+            name for name, param in self._parameters.items() if param.requires_grad
+        )
+
+    def _saved(self, state):
+        """``state`` as the last forward kept it for backward; raises when
+        that forward ran under :func:`no_grad` and kept nothing."""
+        if state is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward needs a forward run in grad mode"
+            )
+        return state
+
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 

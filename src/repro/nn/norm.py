@@ -36,7 +36,6 @@ class _BatchNormBase(Module):
         raise NotImplementedError
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
         x2 = self._to_2d(x)
         if self.training:
             mean = x2.mean(axis=0)
@@ -54,7 +53,7 @@ class _BatchNormBase(Module):
         else:
             mean = self.get_buffer("running_mean")
             var = self.get_buffer("running_var")
-        self._std_inv = 1.0 / np.sqrt(var + self.eps)
+        std_inv = 1.0 / np.sqrt(var + self.eps)
         # the element-wise steps run on per-sample rows against per-channel
         # vectors tiled to the row length: BatchNorm2d's (N*H*W, C) matrix
         # would broadcast in inner loops only C long.  Every element still
@@ -63,17 +62,32 @@ class _BatchNormBase(Module):
         reps = math.prod(x.shape[2:])
         rows = x2.reshape(x.shape[0], reps * x2.shape[1])
         x_hat = rows - np.tile(mean, reps)
-        x_hat *= np.tile(self._std_inv, reps)
-        out = x_hat * np.tile(self.gamma.data, reps)
+        x_hat *= np.tile(std_inv, reps)
+        grads = self._grad_params()
+        # backward reads x_hat for the batch-statistics input gradient and
+        # for gamma's; with neither to compute, the same × gamma and + beta
+        # steps run in place on its one buffer
+        if grads is not None and (self.training or "gamma" in grads):
+            out = x_hat * np.tile(self.gamma.data, reps)
+            self._x_hat = x_hat.reshape(x2.shape)
+        else:
+            out = x_hat
+            out *= np.tile(self.gamma.data, reps)
+            self._x_hat = None
         out += np.tile(self.beta.data, reps)
-        self._x_hat = x_hat.reshape(x2.shape)
+        self._grads = grads
+        self._std_inv = None if grads is None else std_inv
+        self._shape = x.shape
         return self._from_2d(out.reshape(x2.shape), x.shape)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grads = self._saved(getattr(self, "_grads", None))
         g2 = self._to_2d(grad_output)
         n = g2.shape[0]
-        self.gamma.accumulate_grad(np.sum(g2 * self._x_hat, axis=0))
-        self.beta.accumulate_grad(np.sum(g2, axis=0))
+        if "gamma" in grads:
+            self.gamma.accumulate_grad(np.sum(g2 * self._x_hat, axis=0))
+        if "beta" in grads:
+            self.beta.accumulate_grad(np.sum(g2, axis=0))
         if self.training:
             dx_hat = g2 * self.gamma.data
             grad2 = (
@@ -129,14 +143,20 @@ class LayerNorm(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        self._std_inv = 1.0 / np.sqrt(var + self.eps)
-        self._x_hat = (x - mean) * self._std_inv
-        return self.gamma.data * self._x_hat + self.beta.data
+        std_inv = 1.0 / np.sqrt(var + self.eps)
+        x_hat = (x - mean) * std_inv
+        self._grads = self._grad_params()
+        # the input gradient reads both, whether or not gamma is frozen
+        self._std_inv, self._x_hat = (None, None) if self._grads is None else (std_inv, x_hat)
+        return self.gamma.data * x_hat + self.beta.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grads = self._saved(getattr(self, "_grads", None))
         axes = tuple(range(grad_output.ndim - 1))
-        self.gamma.accumulate_grad(np.sum(grad_output * self._x_hat, axis=axes))
-        self.beta.accumulate_grad(np.sum(grad_output, axis=axes))
+        if "gamma" in grads:
+            self.gamma.accumulate_grad(np.sum(grad_output * self._x_hat, axis=axes))
+        if "beta" in grads:
+            self.beta.accumulate_grad(np.sum(grad_output, axis=axes))
         d = self.num_features
         dx_hat = grad_output * self.gamma.data
         grad = (

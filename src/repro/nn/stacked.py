@@ -53,7 +53,7 @@ from repro.nn.attention import MultiHeadSelfAttention, PatchEmbedding
 from repro.nn.conv import Conv2d, conv_engine_override
 from repro.nn.functional import im2col, col2im, log_softmax, softmax
 from repro.nn.layers import Dropout, Flatten, Linear
-from repro.nn.module import Module
+from repro.nn.module import Module, grad_enabled, no_grad
 from repro.nn.norm import BatchNorm1d, BatchNorm2d, LayerNorm
 from repro.nn.optim import SGD, Adam
 from repro.nn.parameter import Parameter
@@ -194,7 +194,7 @@ class StackedConv2d(Module):
             return self._forward_pointwise(x)
         x_flat = x.reshape(pool * batch, *x.shape[2:])
         cout_g = self.out_channels // self.groups
-        cols_cache = [] if self.training else None
+        cols_cache = [] if grad_enabled() else None
         outputs = []
         for group in range(self.groups):
             cols, out_h, out_w = self._unfold_group(x_flat, group)
@@ -206,7 +206,6 @@ class StackedConv2d(Module):
             outputs.append(np.matmul(cols3, w_mat.transpose(0, 2, 1)))
         self._out_hw = (out_h, out_w)
         self._cols = cols_cache
-        self._eval_input = None if self.training else x_flat
         merged = outputs[0] if self.groups == 1 else np.concatenate(outputs, axis=2)
         merged = merged.reshape(pool, batch, out_h, out_w, self.out_channels)
         merged = merged.transpose(0, 1, 4, 2, 3)
@@ -261,6 +260,7 @@ class StackedConv2d(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if getattr(self, "_pointwise", False):
             return self._backward_pointwise(grad_output)
+        cols_cache = self._saved(getattr(self, "_cols", None))
         pool, batch = self._input_shape[:2]
         out_h, out_w = self._out_hw
         cin_g = self.in_channels // self.groups
@@ -270,16 +270,6 @@ class StackedConv2d(Module):
         grad_flat = grad_output.transpose(0, 1, 3, 4, 2).reshape(
             pool, batch * out_h * out_w, self.out_channels
         )
-        cols_cache = self._cols
-        if cols_cache is None:
-            if self._eval_input is None:
-                raise RuntimeError("StackedConv2d.backward called before forward")
-            cols_cache = [
-                self._unfold_group(self._eval_input, group)[0].reshape(
-                    pool, batch * out_h * out_w, -1
-                )
-                for group in range(self.groups)
-            ]
         grad_weight = np.empty_like(self.weight.data)
         flat_group_shape = (pool * batch, cin_g, self._input_shape[3], self._input_shape[4])
         grad_input = np.empty(
@@ -1006,14 +996,15 @@ def predict_logits_many(
     else:
         num_samples = images.shape[0]
     outputs = []
-    for start in range(0, num_samples, batch_size):
-        if per_model:
-            chunk = images[:, start : start + batch_size]
-            xb = np.ascontiguousarray(chunk, dtype=param_dtype)
-        else:
-            chunk = images[start : start + batch_size]
-            xb = np.broadcast_to(chunk, (pool, *chunk.shape)).astype(param_dtype)
-        outputs.append(stacked(xb))
+    with no_grad():
+        for start in range(0, num_samples, batch_size):
+            if per_model:
+                chunk = images[:, start : start + batch_size]
+                xb = np.ascontiguousarray(chunk, dtype=param_dtype)
+            else:
+                chunk = images[start : start + batch_size]
+                xb = np.broadcast_to(chunk, (pool, *chunk.shape)).astype(param_dtype)
+            outputs.append(stacked(xb))
     if not outputs:
         num_classes = getattr(classifiers[0], "num_classes", 0)
         return np.empty((pool, 0, num_classes), dtype=param_dtype)

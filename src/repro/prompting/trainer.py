@@ -36,7 +36,6 @@ def train_prompt_whitebox(
     rng = new_rng(rng)
     model = source_classifier.model
     model.eval()  # freeze BatchNorm statistics; VP adapts inputs, not the model
-    model.freeze()
 
     channels = 3
     prompt = VisualPrompt(
@@ -59,33 +58,41 @@ def train_prompt_whitebox(
     border = prompt.border_mask > 0
     losses: List[float] = []
 
-    for _ in range(config.epochs):
-        epoch_losses = []
-        for target_images, target_labels in target_train.batches(
-            config.batch_size, shuffle=True, rng=rng
-        ):
-            source_labels = mapping.target_labels_as_source(target_labels)
-            prompted = prompt.apply(target_images)
-            logits = model(prompted)
-            loss = criterion(logits, source_labels)
-            grad_logits = criterion.backward()
-            grad_input = model.backward(grad_logits)
-            model.zero_grad()
+    # frozen layers keep no weight-gradient operands and skip the weight
+    # gradients; every caller-set flag comes back, also after an error
+    params = model.parameters()
+    trainable = [param.requires_grad for param in params]
+    model.freeze()
+    try:
+        for _ in range(config.epochs):
+            epoch_losses = []
+            for target_images, target_labels in target_train.batches(
+                config.batch_size, shuffle=True, rng=rng
+            ):
+                source_labels = mapping.target_labels_as_source(target_labels)
+                prompted = prompt.apply(target_images)
+                logits = model(prompted)
+                loss = criterion(logits, source_labels)
+                grad_logits = criterion.backward()
+                grad_input = model.backward(grad_logits)
+                model.zero_grad()
 
-            prompt.zero_grad()
-            prompt.accumulate_grad(grad_input)
-            optimizer.zero_grad()
-            flat_param.accumulate_grad(prompt.grad[border])
-            optimizer.step()
-            prompt.set_flat(flat_param.data)
-            epoch_losses.append(loss)
-        losses.append(float(np.mean(epoch_losses)))
+                prompt.zero_grad()
+                prompt.accumulate_grad(grad_input)
+                optimizer.zero_grad()
+                flat_param.accumulate_grad(prompt.grad[border])
+                optimizer.step()
+                prompt.set_flat(flat_param.data)
+                epoch_losses.append(loss)
+            losses.append(float(np.mean(epoch_losses)))
 
-    if mapping_mode == "frequency":
-        prompted_probs = source_classifier.predict_proba(prompt.apply(target_train.images))
-        mapping.fit(prompted_probs, target_train.labels)
+        if mapping_mode == "frequency":
+            prompted_probs = source_classifier.predict_proba(prompt.apply(target_train.images))
+            mapping.fit(prompted_probs, target_train.labels)
+    finally:
+        for param, flag in zip(params, trainable):
+            param.requires_grad = flag
 
-    model.unfreeze()
     prompted_classifier = PromptedClassifier(source_classifier, prompt, mapping, name=name)
     prompted_classifier.training_losses = losses  # type: ignore[attr-defined]
     return prompted_classifier

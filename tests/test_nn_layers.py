@@ -72,6 +72,58 @@ def test_layer_backward_shape_matches_input(name, layer_factory, shape, rng):
     assert grad_in.shape == x.shape
 
 
+# every layer kind that keeps backward state, with the conv cases also on
+# the implicit engine (and a 1x1 conv, which that override sends pointwise)
+STATEFUL_CASES = (
+    LAYER_CASES
+    + [(f"{name}-implicit", factory, shape) for name, factory, shape in LAYER_CASES if name.startswith("conv")]
+    + [
+        ("conv-k1-implicit", lambda: nn.Conv2d(6, 4, 1, rng=1), (2, 6, 8, 8)),
+        ("dropout", lambda: nn.Dropout(0.5, rng=0), (3, 4)),
+        (
+            "stacked-conv",
+            lambda: nn.StackedConv2d.from_modules([nn.Conv2d(3, 4, 3, padding=1, rng=s) for s in (1, 2)]),
+            (2, 2, 3, 8, 8),
+        ),
+    ]
+)
+
+
+@pytest.mark.parametrize("name,layer_factory,shape", STATEFUL_CASES, ids=[c[0] for c in STATEFUL_CASES])
+def test_backward_after_a_no_grad_forward_raises(name, layer_factory, shape, rng, monkeypatch):
+    """A no_grad() forward keeps nothing, so the backward after it raises
+    instead of returning gradients from the grad-mode forward before it."""
+    monkeypatch.setenv("REPRO_CONV_ENGINE", "implicit" if name.endswith("-implicit") else "auto")
+    layer = layer_factory()
+    out = layer(rng.normal(size=shape))
+    with nn.no_grad():
+        layer(rng.normal(size=shape))
+    with pytest.raises(RuntimeError, match="grad mode"):
+        layer.backward(rng.normal(size=out.shape))
+
+
+def test_grad_mode_is_per_thread_and_restored():
+    import threading
+
+    seen = []
+    assert nn.grad_enabled()
+    with nn.no_grad():
+        assert not nn.grad_enabled()
+        with nn.no_grad():
+            assert not nn.grad_enabled()
+        assert not nn.grad_enabled()
+        thread = threading.Thread(target=lambda: seen.append(nn.grad_enabled()))
+        thread.start()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [True]
+    assert nn.grad_enabled()
+    with pytest.raises(KeyError):
+        with nn.no_grad():
+            raise KeyError("inside")
+    assert nn.grad_enabled()
+
+
 def test_linear_parameter_gradients_accumulate(rng):
     layer = nn.Linear(4, 3, rng=0)
     x = rng.normal(size=(5, 4))
@@ -285,6 +337,8 @@ def _reference_batchnorm_forward(self, x):
     self._std_inv = 1.0 / np.sqrt(var + self.eps)
     self._x_hat = (x2 - mean) * self._std_inv
     out2 = self.gamma.data * self._x_hat + self.beta.data
+    # the forward-time record the backward follows (no arithmetic)
+    self._grads = self._grad_params()
     return self._from_2d(out2, x.shape)
 
 
@@ -321,14 +375,17 @@ def test_im2col_matches_reference_loop(rng):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("mode", ["train", "eval", "no-grad", "frozen"])
 @pytest.mark.parametrize(
     "kind,layout",
     [("2d", "channel-last"), ("2d", "nchw"), ("1d", "contiguous"), ("1d", "transposed")],
 )
-def test_batchnorm_matches_reference_broadcast(kind, layout, training, dtype, rng):
+def test_batchnorm_matches_reference_broadcast(kind, layout, mode, dtype, rng):
     """The per-sample-row forward gives the (rows, C) broadcast form's bytes:
-    output (and its strides), the retained x_hat and the backward grads."""
+    output (and its strides), the retained x_hat and the backward grads.  An
+    eval forward under no_grad() or of a frozen layer keeps no x_hat (its
+    × gamma and + beta run in place); the frozen one gives the trainable
+    layer's input gradient and no gamma or beta gradient."""
     if kind == "2d":
         shape = (4, 6, 5, 5)
         x = rng.normal(1.0, 2.0, size=(4, 5, 5, 6)).transpose(0, 3, 1, 2)
@@ -348,32 +405,49 @@ def test_batchnorm_matches_reference_broadcast(kind, layout, training, dtype, rn
         for name in ("gamma", "beta", "running_mean", "running_var")
     }
 
-    def run(forward):
+    def run(forward, mode):
         bn = make(6)
         bn.gamma.data = params["gamma"].copy()
         bn.beta.data = params["beta"].copy()
         bn.set_buffer("running_mean", params["running_mean"].copy())
         bn.set_buffer("running_var", params["running_var"].copy())
         bn.astype(dtype)
-        if not training:
+        if mode != "train":
             bn.eval()
+        if mode == "frozen":
+            bn.freeze()
+        if mode == "no-grad":
+            with nn.no_grad():
+                return bn, forward(bn, x), None
         out = forward(bn, x)
-        grad = bn.backward(upstream)
-        return bn, out, grad
+        return bn, out, bn.backward(upstream)
 
-    new_bn, new_out, new_grad = run(make.forward)
-    ref_bn, ref_out, ref_grad = run(_reference_batchnorm_forward)
+    new_bn, new_out, new_grad = run(make.forward, mode)
+    # the reference keeps x_hat and takes every gradient, in grad mode
+    ref_bn, ref_out, ref_grad = run(_reference_batchnorm_forward, "train" if mode == "train" else "eval")
     assert new_out.strides == ref_out.strides
-    assert new_bn._x_hat.strides == ref_bn._x_hat.strides
-    for new, ref in (
+    pairs = [
         (new_out, ref_out),
-        (new_bn._x_hat, ref_bn._x_hat),
-        (new_grad, ref_grad),
-        (new_bn.gamma.grad, ref_bn.gamma.grad),
-        (new_bn.beta.grad, ref_bn.beta.grad),
         (new_bn.get_buffer("running_mean"), ref_bn.get_buffer("running_mean")),
         (new_bn.get_buffer("running_var"), ref_bn.get_buffer("running_var")),
-    ):
+    ]
+    if mode in ("train", "eval"):
+        assert new_bn._x_hat.strides == ref_bn._x_hat.strides
+        pairs += [
+            (new_bn._x_hat, ref_bn._x_hat),
+            (new_grad, ref_grad),
+            (new_bn.gamma.grad, ref_bn.gamma.grad),
+            (new_bn.beta.grad, ref_bn.beta.grad),
+        ]
+    else:
+        assert new_bn._x_hat is None
+    if mode == "frozen":
+        assert new_bn.gamma.grad is None and new_bn.beta.grad is None
+        pairs.append((new_grad, ref_grad))
+    if mode == "no-grad":
+        with pytest.raises(RuntimeError, match="grad mode"):
+            new_bn.backward(upstream)
+    for new, ref in pairs:
         assert new.dtype == ref.dtype
         assert new.tobytes() == ref.tobytes()
 
@@ -382,8 +456,9 @@ def test_batchnorm_matches_reference_broadcast(kind, layout, training, dtype, rn
 def test_models_match_reference_kernels(architecture, tiny_dataset, monkeypatch):
     """Whole networks give the same bytes as with the strided-view im2col and
     the broadcast BatchNorm forward patched in: eval predict_proba, the eval
-    input gradient (white-box prompting's re-unfold) and the state dict after
-    one training step.  Both runs share this host's BLAS, so any build holds."""
+    input gradient (with trainable weights, so the convs keep their columns)
+    and the state dict after one training step.  Both runs share this host's
+    BLAS, so any build holds."""
     from repro.config import TrainingConfig
     from repro.models.registry import build_classifier
     from repro.nn import conv, norm, pooling
@@ -486,9 +561,10 @@ def test_grouped_conv_matches_ungrouped_halves(rng, dtype):
 
 
 def test_conv_eval_mode_drops_im2col_scratch_but_backward_still_works(rng):
-    """Inference must not retain training-sized im2col buffers; the white-box
-    prompting path (backward through a frozen model in eval mode) re-unfolds
-    lazily and must produce the same gradients as a train-mode pass."""
+    """Inference and frozen convs must not retain the k^2-sized im2col
+    buffer: a no_grad() forward keeps none, and a frozen conv (white-box
+    prompting's source model) keeps none yet gives the same input gradient
+    and no weight gradient.  An eval backward equals a train-mode one."""
     conv = nn.Conv2d(3, 4, 3, padding=1, rng=1)
     x = rng.normal(size=(2, 3, 8, 8))
 
@@ -502,21 +578,21 @@ def test_conv_eval_mode_drops_im2col_scratch_but_backward_still_works(rng):
 
     conv.eval()
     out_eval = conv(x)
-    assert conv._cols is None  # the k^2-inflated scratch is gone ...
     np.testing.assert_array_equal(out_train, out_eval)
-    grad_eval = conv.backward(upstream)  # ... but backward re-unfolds lazily
+    grad_eval = conv.backward(upstream)
     np.testing.assert_array_equal(grad_train, grad_eval)
     np.testing.assert_array_equal(weight_grad_train, conv.weight.grad)
+    conv.zero_grad()
 
-    # an eval backward arms the cache (white-box prompting pattern: one unfold
-    # per step instead of two) and a backward-free forward disarms it again
-    conv(x)
-    assert conv._cols is not None
-    conv.backward(upstream)
-    conv(x)
-    assert conv._cols is not None
-    conv(x)
+    with nn.no_grad():
+        np.testing.assert_array_equal(conv(x), out_eval)
     assert conv._cols is None
+
+    conv.freeze()
+    np.testing.assert_array_equal(conv(x), out_eval)
+    assert conv._cols is None
+    np.testing.assert_array_equal(conv.backward(upstream), grad_eval)
+    assert conv.weight.grad is None and conv.bias.grad is None
 
 
 def test_clip_grad_norm_scales_gradients(rng):
@@ -575,6 +651,49 @@ def test_conv_engines_agree_within_float64_tolerance(
     implicit = _run_conv(conv_kwargs, x, upstream, "implicit", monkeypatch, training)
     for ref, got, label in zip(reference, implicit, ("out", "grad_input", "grad_weight", "grad_bias")):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9, err_msg=f"{name}/{label}")
+
+
+FROZEN_CASES = [
+    ("linear", lambda: nn.Linear(6, 4, rng=1), (3, 6), "auto"),
+    ("linear-3d", lambda: nn.Linear(6, 4, rng=1), (2, 5, 6), "auto"),
+] + [
+    (f"{name}-{engine}", lambda kwargs=kwargs: nn.Conv2d(rng=1, **kwargs), shape, engine)
+    for name, kwargs, shape in ENGINE_CASES
+    for engine in ("im2col", "implicit")
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "name,layer_factory,shape,engine", FROZEN_CASES, ids=[c[0] for c in FROZEN_CASES]
+)
+def test_frozen_layer_keeps_no_weight_operand(name, layer_factory, shape, engine, dtype, rng, monkeypatch):
+    """A frozen Linear or Conv2d (every engine: im2col, implicit and the
+    pointwise path k=1 takes under the override) keeps no weight-gradient
+    operand and computes no parameter gradient, and its output and input
+    gradient are the trainable layer's bytes."""
+    monkeypatch.setenv("REPRO_CONV_ENGINE", engine)
+    x = rng.normal(size=shape).astype(dtype)
+    operands = ("_x2", "_cols", "_windows", "_pw_x3")
+
+    def run(frozen):
+        layer = layer_factory().astype(dtype)
+        layer.eval()
+        if frozen:
+            layer.freeze()
+        out = layer(x)
+        kept = [getattr(layer, attr) for attr in operands if getattr(layer, attr, None) is not None]
+        grad = layer.backward(np.ones_like(out))
+        return layer, out, grad, kept
+
+    full, full_out, full_grad, full_kept = run(frozen=False)
+    frozen, frozen_out, frozen_grad, frozen_kept = run(frozen=True)
+    assert len(full_kept) == 1 and frozen_kept == []
+    assert all(param.grad is not None for param in full.parameters())
+    assert all(param.grad is None for param in frozen.parameters())
+    assert frozen_out.tobytes() == full_out.tobytes()
+    assert frozen_grad.dtype == full_grad.dtype
+    assert frozen_grad.tobytes() == full_grad.tobytes()
 
 
 def test_conv_float64_auto_keeps_the_explicit_engine(rng, monkeypatch):

@@ -123,6 +123,70 @@ def test_whitebox_prompting_leaves_source_model_unchanged(trained_mlp, tiny_data
         assert np.allclose(original, after[name].data)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("architecture", ["resnet18", "mobilenetv2", "vit", "mlp"])
+def test_whitebox_prompting_on_a_frozen_model_equals_the_trainable_run(
+    architecture, dtype, tiny_dataset, monkeypatch
+):
+    """Freezing the source model only skips weight-gradient work: the prompt
+    bytes and losses equal a run whose Module.freeze is a no-op, so every
+    layer computes (and zero_grad drops) its weight gradients."""
+    from repro import nn
+    from repro.models.registry import build_classifier
+    from repro.nn.module import Module
+
+    config = PromptConfig(source_size=12, inner_size=8, epochs=1, batch_size=16)
+
+    def run():
+        classifier = build_classifier(architecture, 4, image_size=12, rng=5)
+        # off-default normalisation parameters, so a reordered step rounds
+        values = np.random.default_rng(7)
+        for module in classifier.model.modules():
+            if isinstance(module, (nn.BatchNorm1d, nn.BatchNorm2d, nn.LayerNorm)):
+                size = module.num_features
+                module.gamma.data = values.uniform(0.5, 1.5, size=size)
+                module.beta.data = values.normal(size=size)
+            if isinstance(module, (nn.BatchNorm1d, nn.BatchNorm2d)):
+                module.set_buffer("running_mean", values.normal(size=size))
+                module.set_buffer("running_var", values.uniform(0.5, 1.5, size=size))
+        classifier.astype(dtype)
+        prompted = train_prompt_whitebox(classifier, tiny_dataset, config, rng=0)
+        return prompted.prompt.get_flat().tobytes(), prompted.training_losses
+
+    frozen = run()
+    monkeypatch.setattr(Module, "freeze", lambda self: self)
+    assert run() == frozen
+
+
+def _mlp_classifier(tiny_dataset):
+    from repro.models.registry import build_classifier
+
+    return build_classifier("mlp", tiny_dataset.num_classes, image_size=12, rng=0)
+
+
+def test_whitebox_prompting_restores_a_caller_frozen_parameter(tiny_dataset):
+    classifier = _mlp_classifier(tiny_dataset)
+    classifier.model.head.weight.requires_grad = False
+    before = [param.requires_grad for param in classifier.model.parameters()]
+    config = PromptConfig(source_size=12, inner_size=8, epochs=1, batch_size=16)
+    train_prompt_whitebox(classifier, tiny_dataset, config, rng=0)
+    assert [param.requires_grad for param in classifier.model.parameters()] == before
+    assert not classifier.model.head.weight.requires_grad
+
+
+def test_whitebox_prompting_unfreezes_the_model_when_training_raises(tiny_dataset, monkeypatch):
+    classifier = _mlp_classifier(tiny_dataset)
+
+    def fail(self, grad):
+        raise ArithmeticError("prompt step failed")
+
+    monkeypatch.setattr(VisualPrompt, "accumulate_grad", fail)
+    config = PromptConfig(source_size=12, inner_size=8, epochs=1, batch_size=16)
+    with pytest.raises(ArithmeticError):
+        train_prompt_whitebox(classifier, tiny_dataset, config, rng=0)
+    assert all(param.requires_grad for param in classifier.model.parameters())
+
+
 def test_blackbox_prompt_training_uses_only_queries(trained_mlp, tiny_dataset):
     calls = {"count": 0}
 
