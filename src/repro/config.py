@@ -98,10 +98,6 @@ class ExperimentProfile:
     def total_shadow_models(self) -> int:
         return self.clean_shadow_models + self.backdoor_shadow_models
 
-    @property
-    def total_suspicious_models(self) -> int:
-        return self.clean_suspicious_models + self.backdoor_suspicious_models
-
 
 FAST = ExperimentProfile(
     name="fast",

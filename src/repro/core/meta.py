@@ -20,8 +20,7 @@ import numpy as np
 from repro.datasets.base import ImageDataset
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.logistic import LogisticRegression
-from repro.nn.stacked import UnstackableModelError
-from repro.prompting.prompted import PromptedClassifier, predict_source_proba_many
+from repro.prompting.prompted import PromptedClassifier
 from repro.utils.rng import SeedLike, new_rng
 
 
@@ -105,24 +104,10 @@ class MetaClassifier:
         if len(prompted_shadows) != len(shadow_labels):
             raise ValueError("prompted_shadows and shadow_labels disagree on length")
         subsets = self._require_queries()
-        # query the whole prompted pool over D_Q in one stacked forward pass;
-        # pools the stacked engine cannot lift (e.g. mixed architectures) fall
-        # back to one query pass per shadow, with identical feature values
-        pool_probabilities = None
-        if len(prompted_shadows) > 1:
-            try:
-                pool_probabilities = predict_source_proba_many(
-                    prompted_shadows, self.query_pool.images
-                )
-            except UnstackableModelError:
-                pool_probabilities = None
         features: List[np.ndarray] = []
         labels: List[int] = []
-        for index, (prompted, label) in enumerate(zip(prompted_shadows, shadow_labels)):
-            if pool_probabilities is not None:
-                rows = self.feature_rows_from_source_proba(pool_probabilities[index])
-            else:
-                rows = self.feature_rows(prompted)
+        for prompted, label in zip(prompted_shadows, shadow_labels):
+            rows = self.feature_rows(prompted)
             features.append(rows)
             labels.extend([int(label)] * rows.shape[0])
         return MetaDataset(

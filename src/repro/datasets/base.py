@@ -89,10 +89,6 @@ class ImageDataset:
             name or self.name,
         )
 
-    def with_labels(self, labels: np.ndarray) -> "ImageDataset":
-        """Same images, new labels (used by poisoning code)."""
-        return ImageDataset(self.images, labels, self.num_classes, self.name)
-
     @staticmethod
     def concatenate(datasets: Sequence["ImageDataset"], name: Optional[str] = None) -> "ImageDataset":
         if not datasets:
@@ -139,12 +135,6 @@ class ImageDataset:
         order = rng.permutation(len(self))
         cut = int(round(len(self) * first_fraction))
         return DataSplit(self.subset(order[:cut]), self.subset(order[cut:]))
-
-    def per_class_indices(self) -> dict:
-        """Mapping class index -> array of sample indices."""
-        return {
-            cls: np.flatnonzero(self.labels == cls) for cls in range(self.num_classes)
-        }
 
     # -- batching ----------------------------------------------------------
     def batches(

@@ -43,11 +43,6 @@ def normalize(images: np.ndarray, mean: float = 0.5, std: float = 0.5) -> np.nda
     return (check_image_batch(images) - mean) / std
 
 
-def denormalize(images: np.ndarray, mean: float = 0.5, std: float = 0.5) -> np.ndarray:
-    """Inverse of :func:`normalize`."""
-    return check_image_batch(images) * std + mean
-
-
 def to_grayscale(images: np.ndarray) -> np.ndarray:
     """Collapse an RGB batch to its luminance, replicated over 3 channels."""
     images = check_image_batch(images)

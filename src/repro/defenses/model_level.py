@@ -19,7 +19,6 @@ from repro.defenses.base import ModelLevelDefense
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.stats import median_absolute_deviation
 from repro.models.classifier import ImageClassifier
-from repro.nn.stacked import UnstackableModelError, predict_proba_many
 from repro.utils.rng import SeedLike, derive_seed, new_rng
 
 
@@ -141,25 +140,10 @@ class MNTDDefense(ModelLevelDefense):
         # tuned query set: start from random noise, keep the most informative probes
         shape = reserved_clean.image_shape
         self._query_images = rng.random((self.num_queries, *shape))
-        # query the whole shadow pool in one stacked forward; heterogeneous
-        # pools the stacked engine cannot lift fall back to per-model queries
-        # (identical feature values either way)
-        pool_probabilities = None
-        if len(self.shadow_models) > 1:
-            try:
-                pool_probabilities = predict_proba_many(
-                    [shadow.classifier for shadow in self.shadow_models],
-                    self._query_images,
-                )
-            except UnstackableModelError:
-                pool_probabilities = None
         features = []
         labels = []
-        for index, shadow in enumerate(self.shadow_models):
-            if pool_probabilities is not None:
-                features.append(pool_probabilities[index].ravel())
-            else:
-                features.append(shadow.classifier.predict_proba(self._query_images).ravel())
+        for shadow in self.shadow_models:
+            features.append(shadow.classifier.predict_proba(self._query_images).ravel())
             labels.append(int(shadow.is_backdoored))
         self._meta = RandomForestClassifier(
             n_estimators=self.profile.meta_trees, max_depth=6, rng=rng

@@ -2,7 +2,6 @@
 
 * meta-classifier family (random forest vs. logistic regression vs. a plain
   prompted-accuracy threshold),
-* black-box prompt optimiser (CMA-ES vs. SPSA vs. random search),
 * number of query samples ``q``,
 * the paper's stated limitation: all-to-all backdoors.
 """
@@ -64,28 +63,6 @@ def run_meta_classifier(
             value = auroc(np.asarray(scores), np.asarray(labels))
         rows.append({"meta_classifier": kind, "auroc": value})
     return {"rows": rows, "table": format_table(rows, title="Ablation: meta-classifier")}
-
-
-def run_blackbox_optimizer(
-    profile: Optional[ExperimentProfile] = None,
-    seed: int = 0,
-    dataset: str = "cifar10",
-    attack: str = "badnets",
-    optimizers: Sequence[str] = ("cma-es", "spsa", "random"),
-) -> dict:
-    """Compare gradient-free optimisers used to prompt the suspicious model."""
-    context = get_context(profile, seed)
-    rows = []
-    for optimizer in optimizers:
-        local_profile = context.profile.with_overrides(
-            prompt=context.profile.prompt.__class__(
-                **{**context.profile.prompt.__dict__, "blackbox_optimizer": optimizer}
-            )
-        )
-        local_context = get_context(local_profile, seed + hash(optimizer) % 997)
-        metrics = bprom_detection_auroc(local_context, dataset, attack)
-        rows.append({"optimizer": optimizer, "auroc": metrics["auroc"], "f1": metrics["f1"]})
-    return {"rows": rows, "table": format_table(rows, title="Ablation: black-box optimizer")}
 
 
 def run_query_count(

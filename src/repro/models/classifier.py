@@ -30,10 +30,6 @@ class TrainingHistory:
     val_accuracies: List[float] = field(default_factory=list)
 
     @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
-    @property
     def final_train_accuracy(self) -> float:
         return self.train_accuracies[-1] if self.train_accuracies else float("nan")
 

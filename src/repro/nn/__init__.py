@@ -23,9 +23,10 @@ Public surface
   :class:`Sigmoid`, :class:`Tanh`, :class:`Identity`
 * Losses: :class:`CrossEntropyLoss`, :class:`MSELoss`
 * Optimisers: :class:`SGD`, :class:`Adam`, :class:`StepLR`, :class:`CosineLR`
-* Stacked-model engine (:mod:`repro.nn.stacked`): :func:`stack_modules` /
-  :func:`unstack_modules`, :func:`fit_stacked`, :func:`predict_proba_many`
-  and the ``Stacked*`` layer/optimiser/loss counterparts
+* Stacked-model training engine (:mod:`repro.nn.stacked`):
+  :func:`stack_modules` / :func:`unstack_modules`, :func:`fit_stacked` and the
+  ``Stacked*`` layer/optimiser/loss counterparts.  Pools are queried one model
+  at a time; a stacked forward pass never beat that loop.
 """
 
 from repro.nn.parameter import Parameter
@@ -53,8 +54,6 @@ from repro.nn.stacked import (
     StackedSGD,
     UnstackableModelError,
     fit_stacked,
-    predict_logits_many,
-    predict_proba_many,
     stack_modules,
     unstack_modules,
 )
@@ -104,8 +103,6 @@ __all__ = [
     "StackedSGD",
     "UnstackableModelError",
     "fit_stacked",
-    "predict_logits_many",
-    "predict_proba_many",
     "stack_modules",
     "unstack_modules",
 ]

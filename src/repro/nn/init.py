@@ -14,13 +14,6 @@ def kaiming_normal(shape, fan_in: int, rng: SeedLike = None) -> np.ndarray:
     return rng.normal(0.0, std, size=shape)
 
 
-def xavier_uniform(shape, fan_in: int, fan_out: int, rng: SeedLike = None) -> np.ndarray:
-    """Glorot-uniform initialisation suited to tanh/linear/attention layers."""
-    rng = new_rng(rng)
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 

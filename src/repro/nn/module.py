@@ -28,10 +28,10 @@ def grad_enabled() -> bool:
 def no_grad() -> Iterator[None]:
     """Run forwards in this thread that keep no backward state.
 
-    Inference (``ImageClassifier.predict_logits``/``features``,
-    ``predict_logits_many``) runs under it; a ``backward`` after a forward
-    run here raises instead of reading an earlier forward's state.  Outputs
-    are byte-identical to a grad-mode forward.
+    Inference (``ImageClassifier.predict_logits``/``features``) runs under
+    it; a ``backward`` after a forward run here raises instead of reading an
+    earlier forward's state.  Outputs are byte-identical to a grad-mode
+    forward.
     """
     previous = _GRAD_MODE.enabled
     _GRAD_MODE.enabled = False
@@ -108,11 +108,6 @@ class Module:
         """Mark every parameter as non-trainable (e.g. a frozen source model)."""
         for param in self.parameters():
             param.requires_grad = False
-        return self
-
-    def unfreeze(self) -> "Module":
-        for param in self.parameters():
-            param.requires_grad = True
         return self
 
     def zero_grad(self) -> None:
@@ -249,9 +244,3 @@ class Sequential(Module):
         for name in reversed(self._order):
             grad_output = self._modules[name].backward(grad_output)
         return grad_output
-
-    def forward_until(self, x: np.ndarray, stop_index: int) -> np.ndarray:
-        """Run the first ``stop_index`` layers only (used for feature extraction)."""
-        for name in self._order[:stop_index]:
-            x = self._modules[name](x)
-        return x

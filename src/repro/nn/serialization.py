@@ -1,4 +1,9 @@
-"""Saving and loading model state dictionaries as ``.npz`` archives."""
+"""Saving and loading model state dictionaries as ``.npz`` archives.
+
+Archives are written stored (``np.savez``), not deflated: float64 weights
+barely compress.  ``np.load`` reads both codecs, so archives written
+compressed by earlier versions still load.
+"""
 
 from __future__ import annotations
 
@@ -13,12 +18,12 @@ PathLike = Union[str, Path]
 
 
 def save_state_dict(module: Module, path: PathLike) -> Path:
-    """Serialize a module's parameters and buffers to a compressed ``.npz`` file."""
+    """Serialize a module's parameters and buffers to an uncompressed ``.npz`` file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     state = module.state_dict()
     # npz keys cannot contain '/' reliably across loaders; dots are fine.
-    np.savez_compressed(path, **state)
+    np.savez(path, **state)
     return path
 
 

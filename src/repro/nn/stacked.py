@@ -32,9 +32,10 @@ Layout
   back into the K original modules.
 * ``fit_stacked(classifiers, datasets, config, rngs)`` is the model-axis
   counterpart of ``ImageClassifier.fit``.
-* ``predict_logits_many`` / ``predict_proba_many`` run one stacked forward for
-  a whole pool (shared or per-model inputs) — the serve-side sibling of the
-  training engine, used by the meta stage and the MNTD baseline.
+
+The engine only trains.  Pool inference (the meta stage's and MNTD's queries)
+runs one model at a time: a stacked forward pass was slower than that loop on
+every architecture and raised the stand-up's memory peak.
 
 Out-of-registry leaf modules raise :class:`UnstackableModelError`; callers
 (e.g. ``ShadowModelFactory``) catch it and fall back to the sequential loop.
@@ -53,7 +54,7 @@ from repro.nn.attention import MultiHeadSelfAttention, PatchEmbedding
 from repro.nn.conv import Conv2d, conv_engine_override
 from repro.nn.functional import im2col, col2im, log_softmax, softmax
 from repro.nn.layers import Dropout, Flatten, Linear
-from repro.nn.module import Module, grad_enabled, no_grad
+from repro.nn.module import Module, grad_enabled
 from repro.nn.norm import BatchNorm1d, BatchNorm2d, LayerNorm
 from repro.nn.optim import SGD, Adam
 from repro.nn.parameter import Parameter
@@ -335,24 +336,24 @@ class _StackedBatchNormBase(Module):
         raise NotImplementedError
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # the engine only trains (pools are queried one model at a time), so
+        # there is no running-statistics path to normalise with
+        if not self.training:
+            raise RuntimeError("stacked BatchNorm runs only in training mode")
         self._shape = x.shape
         x3 = self._to_3d(x)
-        if self.training:
-            mean = x3.mean(axis=1)
-            var = x3.var(axis=1)
-            n = x3.shape[1]
-            unbiased = var * n / max(n - 1, 1)
-            self.set_buffer(
-                "running_mean",
-                (1 - self.momentum) * self.get_buffer("running_mean") + self.momentum * mean,
-            )
-            self.set_buffer(
-                "running_var",
-                (1 - self.momentum) * self.get_buffer("running_var") + self.momentum * unbiased,
-            )
-        else:
-            mean = self.get_buffer("running_mean")
-            var = self.get_buffer("running_var")
+        mean = x3.mean(axis=1)
+        var = x3.var(axis=1)
+        n = x3.shape[1]
+        unbiased = var * n / max(n - 1, 1)
+        self.set_buffer(
+            "running_mean",
+            (1 - self.momentum) * self.get_buffer("running_mean") + self.momentum * mean,
+        )
+        self.set_buffer(
+            "running_var",
+            (1 - self.momentum) * self.get_buffer("running_var") + self.momentum * unbiased,
+        )
         self._std_inv = 1.0 / np.sqrt(var + self.eps)
         self._x_hat = (x3 - mean[:, None, :]) * self._std_inv[:, None, :]
         out3 = self.gamma.data[:, None, :] * self._x_hat + self.beta.data[:, None, :]
@@ -363,19 +364,16 @@ class _StackedBatchNormBase(Module):
         n = g3.shape[1]
         self.gamma.accumulate_grad(np.sum(g3 * self._x_hat, axis=1))
         self.beta.accumulate_grad(np.sum(g3, axis=1))
-        if self.training:
-            dx_hat = g3 * self.gamma.data[:, None, :]
-            grad3 = (
-                self._std_inv[:, None, :]
-                / n
-                * (
-                    n * dx_hat
-                    - np.sum(dx_hat, axis=1, keepdims=True)
-                    - self._x_hat * np.sum(dx_hat * self._x_hat, axis=1, keepdims=True)
-                )
+        dx_hat = g3 * self.gamma.data[:, None, :]
+        grad3 = (
+            self._std_inv[:, None, :]
+            / n
+            * (
+                n * dx_hat
+                - np.sum(dx_hat, axis=1, keepdims=True)
+                - self._x_hat * np.sum(dx_hat * self._x_hat, axis=1, keepdims=True)
             )
-        else:
-            grad3 = g3 * self.gamma.data[:, None, :] * self._std_inv[:, None, :]
+        )
         return self._from_3d(grad3, self._shape)
 
     def unstack_into(self, modules) -> None:
@@ -869,7 +867,7 @@ class StackedSGD(SGD):
 
 
 # ---------------------------------------------------------------------------
-# stacked training and inference
+# stacked training
 # ---------------------------------------------------------------------------
 
 def fit_stacked(
@@ -963,62 +961,3 @@ def fit_stacked(
         classifier.model.eval()
         classifier.history = history
     return histories
-
-
-def predict_logits_many(
-    classifiers: Sequence,
-    images: np.ndarray,
-    batch_size: int = 256,
-    per_model: bool = False,
-) -> np.ndarray:
-    """Raw logits of K models in one stacked eval pass, shape ``(K, N, classes)``.
-
-    ``images`` is a shared ``(N, ...)`` batch, or per-model ``(K, N, ...)``
-    inputs when ``per_model`` is true (e.g. differently prompted queries).
-    Accepts :class:`~repro.models.classifier.ImageClassifier` instances or raw
-    modules; results equal per-model ``predict_logits`` bit for bit.
-    """
-    models = [getattr(c, "model", c) for c in classifiers]
-    if not models:
-        raise ValueError("predict_logits_many needs at least one model")
-    stacked = stack_modules(models)
-    stacked.eval()
-    pool = len(models)
-    stacked_params = stacked.parameters()
-    param_dtype = stacked_params[0].data.dtype if stacked_params else np.float64
-    images = np.asarray(images)
-    if per_model:
-        if images.shape[0] != pool:
-            raise ValueError(
-                f"per-model images lead with {images.shape[0]} models, expected {pool}"
-            )
-        num_samples = images.shape[1]
-    else:
-        num_samples = images.shape[0]
-    outputs = []
-    with no_grad():
-        for start in range(0, num_samples, batch_size):
-            if per_model:
-                chunk = images[:, start : start + batch_size]
-                xb = np.ascontiguousarray(chunk, dtype=param_dtype)
-            else:
-                chunk = images[start : start + batch_size]
-                xb = np.broadcast_to(chunk, (pool, *chunk.shape)).astype(param_dtype)
-            outputs.append(stacked(xb))
-    if not outputs:
-        num_classes = getattr(classifiers[0], "num_classes", 0)
-        return np.empty((pool, 0, num_classes), dtype=param_dtype)
-    return np.concatenate(outputs, axis=1)
-
-
-def predict_proba_many(
-    classifiers: Sequence,
-    images: np.ndarray,
-    batch_size: int = 256,
-    per_model: bool = False,
-) -> np.ndarray:
-    """Softmax confidence vectors of K models in one stacked pass, ``(K, N, classes)``."""
-    return softmax(
-        predict_logits_many(classifiers, images, batch_size=batch_size, per_model=per_model),
-        axis=-1,
-    )

@@ -1,4 +1,4 @@
-"""Trace and metrics export: JSONL files and artifact-store telemetry blobs.
+"""Trace and metrics export: JSONL trace files and JSON metrics snapshots.
 
 This is the one module in the package allowed to read wall-clock time
 (repro-lint D104 allowlists exactly this file): the meta header of an
@@ -36,17 +36,6 @@ def export_jsonl(spans: List[SpanRecord], path: str) -> str:
         for span in spans:
             handle.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
     return path
-
-
-def export_to_store(spans: List[SpanRecord], store: Any, name: str) -> str:
-    """Write a trace under the artifact store root (``.telemetry/<name>.jsonl``).
-
-    The dot-prefixed directory keeps telemetry blobs out of the store's
-    artifact namespace (its loaders glob ``*.pkl``/``*.json`` artifacts by
-    key hash).
-    """
-    root = str(getattr(store, "root"))
-    return export_jsonl(spans, os.path.join(root, ".telemetry", f"{name}.jsonl"))
 
 
 def export_metrics(snapshot: Dict[str, Any], path: str) -> str:

@@ -291,13 +291,6 @@ class Tracer:
         finally:
             _CURRENT.reset(token)
 
-    def current_context(self) -> Optional[TraceContext]:
-        """The ambient parent as a picklable :class:`TraceContext`, if any."""
-        current = _CURRENT.get()
-        if current is None:
-            return None
-        return TraceContext(trace_id=current[0], span_id=current[1])
-
     # -- collection ------------------------------------------------------------
     def drain(self) -> List[SpanRecord]:
         """All buffered spans, clearing the buffer (export calls this)."""

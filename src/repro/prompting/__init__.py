@@ -18,7 +18,7 @@ prompt and exposes the prompted model ``f_T = O ∘ f_S ∘ V``.
 
 from repro.prompting.prompt import VisualPrompt
 from repro.prompting.output_mapping import LabelMapping
-from repro.prompting.prompted import PromptedClassifier, predict_source_proba_many
+from repro.prompting.prompted import PromptedClassifier
 from repro.prompting.trainer import train_prompt_whitebox
 from repro.prompting.blackbox import QueryCounter, train_prompt_blackbox
 
@@ -27,7 +27,6 @@ __all__ = [
     "LabelMapping",
     "PromptedClassifier",
     "QueryCounter",
-    "predict_source_proba_many",
     "train_prompt_whitebox",
     "train_prompt_blackbox",
 ]

@@ -56,10 +56,6 @@ class LabelMapping:
             )
         return source_probabilities[:, self.assignment]
 
-    def predict_target(self, source_probabilities: np.ndarray) -> np.ndarray:
-        """Hard target-class predictions."""
-        return np.argmax(self.map_probabilities(source_probabilities), axis=1)
-
     def target_labels_as_source(self, target_labels: np.ndarray) -> Optional[np.ndarray]:
         """Source-class labels used as the training target for prompt optimisation.
 

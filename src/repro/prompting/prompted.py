@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.datasets.base import ImageDataset
 from repro.models.classifier import ImageClassifier
-from repro.nn.stacked import predict_proba_many
 from repro.prompting.output_mapping import LabelMapping
 from repro.prompting.prompt import VisualPrompt
 
@@ -58,27 +55,3 @@ class PromptedClassifier:
     def query_feature_vector(self, query_images: np.ndarray) -> np.ndarray:
         """Concatenated confidence vectors ``( f(x^1_Q) || ... || f(x^q_Q) )``."""
         return self.predict_source_proba(query_images).ravel()
-
-
-def predict_source_proba_many(
-    prompted_models: Sequence[PromptedClassifier], target_images: np.ndarray
-) -> np.ndarray:
-    """Source confidence vectors of a whole prompted pool in one stacked pass.
-
-    Applies every model's own prompt to ``target_images`` and runs the K
-    source classifiers as one model-axis computation
-    (:func:`repro.nn.stacked.predict_proba_many`), returning
-    ``(K, N, num_source_classes)`` probabilities identical to calling
-    :meth:`PromptedClassifier.predict_source_proba` per model.  Raises
-    :class:`repro.nn.stacked.UnstackableModelError` for pools the stacked
-    engine cannot lift (heterogeneous architectures); callers fall back to the
-    per-model loop.
-    """
-    prompted_images = np.stack(
-        [prompted.prompt.apply(target_images) for prompted in prompted_models]
-    )
-    return predict_proba_many(
-        [prompted.source_classifier for prompted in prompted_models],
-        prompted_images,
-        per_model=True,
-    )

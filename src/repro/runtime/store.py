@@ -76,8 +76,10 @@ class Artifact:
         self.directory = Path(directory)
 
     def save_arrays(self, name: str, arrays: Dict[str, np.ndarray]) -> Path:
+        # stored, not deflated: float64 weights barely compress, and zlib was
+        # most of a cold stand-up's save time; ``np.load`` reads either codec
         path = self.directory / f"{name}.npz"
-        np.savez_compressed(path, **arrays)
+        np.savez(path, **arrays)
         return path
 
     def load_arrays(self, name: str) -> Dict[str, np.ndarray]:

@@ -10,7 +10,7 @@ top of an experiment fans out into independent generators for each component.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Union
 
 import numpy as np
 
@@ -91,7 +91,3 @@ class RngMixin:
     @property
     def rng(self) -> np.random.Generator:
         return self._rng
-
-    def reseed(self, seed: Optional[int]) -> None:
-        """Replace the generator; useful for re-running a component deterministically."""
-        self._rng = new_rng(seed)

@@ -106,19 +106,16 @@ def test_image_classifier_wraps_any_module(rng):
 
 @pytest.mark.parametrize("architecture", ["resnet18", "mobilenetv2", "vit", "mlp"])
 def test_inference_retains_no_backward_state(architecture):
-    """predict_proba, features and predict_proba_many run under no_grad(), so
-    after they return the model holds nothing of the pass: a 128-image
-    predict_proba used to leave the im2col buffers, BatchNorm x_hat, masks and
-    attention maps behind (17.9 MB on resnet18, 40.8 MB on mobilenetv2)."""
+    """predict_proba and features run under no_grad(), so after they return
+    the model holds nothing of the pass: a 128-image predict_proba used to
+    leave the im2col buffers, BatchNorm x_hat, masks and attention maps behind
+    (17.9 MB on resnet18, 40.8 MB on mobilenetv2)."""
     import tracemalloc
-
-    from repro.nn.stacked import predict_proba_many
 
     images = np.random.default_rng(0).normal(size=(128, 3, 16, 16))
     calls = {
         "predict_proba": lambda clf: clf.predict_proba(images),
         "features": lambda clf: clf.features(images),
-        "predict_proba_many": lambda clf: predict_proba_many([clf, clf], images),
     }
     # a pass on another instance first, so no one-time cache outside the
     # model counts as retained

@@ -496,6 +496,52 @@ def test_models_match_reference_kernels(architecture, tiny_dataset, monkeypatch)
         assert left.tobytes() == right.tobytes()
 
 
+@pytest.mark.parametrize("batch", [1, 2, 64, 120, 128])
+def test_no_grad_conv_is_one_gemm_over_the_whole_batch(batch, monkeypatch):
+    """A no-grad float64 conv is ``im2col(x)[0] @ w.reshape(O, -1).T`` over
+    the whole batch, byte for byte, at every ``groups == 1`` geometry of
+    resnet18, mobilenetv2 and vit on 16-pixel images (vit has none: its patch
+    embedding is a Linear).  Running that GEMM in blocks of images is not
+    the same: on OpenBLAS 0.3.31 the last 64 rows of ``A @ W.T`` differ from
+    ``A[-64:] @ W.T`` at K = 144, O = 16, which moved resnet18
+    ``predict_proba`` bytes at batch 64 and 120 but not at 80 or 128."""
+    from repro.models.registry import build_classifier
+
+    monkeypatch.delenv("REPRO_CONV_ENGINE", raising=False)
+    layers = {}
+    original = nn.Conv2d.forward
+
+    def record(self, x):
+        if self.groups == 1:
+            geometry = (self.in_channels, self.out_channels, self.kernel_size,
+                        self.stride, self.padding, *x.shape[2:])
+            layers.setdefault(geometry, self)
+        return original(self, x)
+
+    monkeypatch.setattr(nn.Conv2d, "forward", record)
+    for architecture in ("resnet18", "mobilenetv2", "vit"):
+        build_classifier(architecture, 10, image_size=16, rng=0).predict_proba(
+            np.zeros((1, 3, 16, 16))
+        )
+    monkeypatch.undo()
+    assert layers
+
+    rng = np.random.default_rng(batch)
+    for (channels, out_channels, kernel, stride, padding, h, w), layer in layers.items():
+        x = rng.normal(size=(batch, channels, h, w))
+        with nn.no_grad():
+            out = layer(x)
+        assert layer._engine == "im2col"
+        cols, out_h, out_w = im2col(x, kernel, stride, padding)
+        reference = cols @ layer.weight.data.reshape(out_channels, -1).T
+        reference = reference.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
+        if layer.use_bias:
+            reference = reference + layer.bias.data[None, :, None, None]
+        assert out.dtype == reference.dtype == np.float64
+        assert out.shape == reference.shape
+        assert out.tobytes() == reference.tobytes(), (channels, out_channels, kernel, h)
+
+
 def test_im2col_preserves_dtype(rng):
     x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
     cols, _, _ = im2col(x, kernel=3, stride=1, padding=1)

@@ -3,6 +3,8 @@ persistence, the fit's stage seams and warm-cache training skips."""
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from repro.core.shadow import ShadowModelFactory
 from repro.eval.harness import ExperimentContext
 from repro.models.classifier import ImageClassifier
 from repro.models.registry import build_classifier
+from repro.nn.serialization import save_state_dict
 from repro.obs import get_tracer
 from repro.runtime import ArtifactStore, WorkerPool, executor
+from repro.runtime.store import MISS
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +310,58 @@ def test_detector_artifact_records_and_restores_precision(fitted_detector, tmp_p
     restored = BpromDetector.load(path, runtime=RuntimeConfig(workers=2))
     assert restored.runtime.precision == "float32"
     assert restored.runtime.workers == 2  # the rest of the runtime is kept
+
+
+def _compress_types(blob):
+    with zipfile.ZipFile(blob) as archive:
+        return {info.compress_type for info in archive.infolist()}
+
+
+def test_npz_blobs_are_written_stored_not_deflated(
+    micro_profile, tiny_dataset, tiny_test_dataset, tmp_path
+):
+    """Every member of every ``.npz`` a shadow-pool fetch, a detector save
+    and ``save_state_dict`` write is stored: float64 weights barely
+    compress, and zlib was most of a cold stand-up's save time."""
+    store = tmp_path / "store"
+    detector = BpromDetector(
+        profile=micro_profile,
+        architecture="mlp",
+        seed=0,
+        runtime=RuntimeConfig(cache_dir=str(store)),
+    )
+    detector.fit(tiny_dataset, tiny_dataset, tiny_test_dataset)
+    pool_blobs = sorted((store / "shadow-pool").rglob("*.npz"))
+    detector_blobs = sorted(detector.save(tmp_path / "detector").glob("*.npz"))
+    state = save_state_dict(detector.shadow_models[0].classifier.model, tmp_path / "state.npz")
+    assert pool_blobs and detector_blobs
+    for blob in [*pool_blobs, *detector_blobs, state]:
+        assert _compress_types(blob) == {zipfile.ZIP_STORED}, blob.name
+
+
+def test_deflated_detector_artifact_still_loads(fitted_detector, suspicious_fleet, tmp_path):
+    """A store written with ``np.savez_compressed``, as before arrays were
+    stored uncompressed, stays warm: the artifact loads as a hit and scores
+    the same bytes."""
+    store = ArtifactStore(tmp_path / "store")
+    key = {"detector": "deflated"}
+    with store.open_write("detector", key) as artifact:
+        fitted_detector.save(artifact.directory)
+    blobs = sorted(store.directory_for("detector", key).glob("*.npz"))
+    assert blobs
+    for blob in blobs:
+        with np.load(blob) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        np.savez_compressed(blob, **arrays)
+        assert _compress_types(blob) == {zipfile.ZIP_DEFLATED}
+
+    restored = store.try_load("detector", key, lambda artifact: BpromDetector.load(artifact.directory))
+    assert restored is not MISS
+    assert (store.hits, store.misses) == (1, 0)
+    for model in suspicious_fleet:
+        assert repr(restored.inspect(model).backdoor_score) == repr(
+            fitted_detector.inspect(model).backdoor_score
+        )
 
 
 def test_save_requires_fitted_detector(micro_profile, tmp_path):

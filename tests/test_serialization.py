@@ -69,6 +69,22 @@ def test_batchnorm_buffers_survive_round_trip(tiny_dataset, tmp_path):
         np.testing.assert_array_equal(value, buffers[name])
 
 
+def test_load_state_dict_reads_a_deflated_archive(tmp_path):
+    """Archives written with ``np.savez_compressed``, as before arrays were
+    stored uncompressed, load to the same bytes."""
+    model = build_classifier("resnet18", 4, image_size=12, rng=0).model
+    state = model.state_dict()
+    path = tmp_path / "deflated.npz"
+    np.savez_compressed(path, **state)
+    fresh = build_classifier("resnet18", 4, image_size=12, rng=99).model
+    load_state_dict(fresh, path)
+    restored = fresh.state_dict()
+    assert restored.keys() == state.keys()
+    for name, value in state.items():
+        assert restored[name].dtype == value.dtype
+        assert restored[name].tobytes() == value.tobytes(), name
+
+
 def test_classifier_artifact_round_trip(trained_mlp, tiny_dataset, tmp_path):
     artifact = Artifact(tmp_path)
     ser.save_classifier(artifact, trained_mlp)

@@ -13,11 +13,9 @@ from repro.models.registry import architecture_family, build_classifier
 from repro.nn.stacked import (
     UnstackableModelError,
     fit_stacked,
-    predict_proba_many,
     stack_modules,
     unstack_modules,
 )
-from repro.prompting.prompted import predict_source_proba_many
 
 
 def _assert_pools_match(left, right, tolerance=1e-9):
@@ -269,51 +267,6 @@ def test_unstackable_pool_falls_back_to_sequential(micro_profile, tiny_dataset, 
     _assert_pools_match(sequential, fallback, tolerance=0.0)
 
 
-@pytest.mark.parametrize("architecture", ["mlp", "resnet18", "vit"])
-def test_predict_proba_many_matches_sequential(tiny_dataset, architecture):
-    classifiers = []
-    for seed in range(3):
-        classifier = build_classifier(
-            architecture, tiny_dataset.num_classes, tiny_dataset.image_size, rng=seed
-        )
-        classifiers.append(classifier)
-    images = tiny_dataset.images[:7]
-    pooled = predict_proba_many(classifiers, images)
-    assert pooled.shape == (3, 7, tiny_dataset.num_classes)
-    for index, classifier in enumerate(classifiers):
-        np.testing.assert_array_equal(pooled[index], classifier.predict_proba(images))
-
-
-def test_predict_proba_many_per_model_inputs(tiny_dataset, rng):
-    classifiers = [
-        build_classifier("mlp", tiny_dataset.num_classes, tiny_dataset.image_size, rng=seed)
-        for seed in range(2)
-    ]
-    per_model = rng.random((2, 5, *tiny_dataset.image_shape))
-    pooled = predict_proba_many(classifiers, per_model, per_model=True)
-    for index, classifier in enumerate(classifiers):
-        np.testing.assert_array_equal(
-            pooled[index], classifier.predict_proba(per_model[index])
-        )
-    with pytest.raises(ValueError):
-        predict_proba_many(classifiers, per_model[:1], per_model=True)
-
-
-def test_predict_source_proba_many_matches_per_model(
-    micro_profile, tiny_dataset, trained_mlp
-):
-    from repro.prompting import train_prompt_whitebox
-
-    prompted = [
-        train_prompt_whitebox(trained_mlp, tiny_dataset, micro_profile.prompt, rng=seed)
-        for seed in (0, 1)
-    ]
-    images = tiny_dataset.images[:6]
-    pooled = predict_source_proba_many(prompted, images)
-    for index, model in enumerate(prompted):
-        np.testing.assert_array_equal(pooled[index], model.predict_source_proba(images))
-
-
 def test_stacked_batchnorm_buffers_unstack_per_model(rng):
     layers = [nn.BatchNorm2d(3) for _ in range(2)]
     stacked = stack_modules(layers)
@@ -331,6 +284,11 @@ def test_stacked_batchnorm_buffers_unstack_per_model(rng):
         np.testing.assert_array_equal(
             layer.get_buffer("running_var"), reference.get_buffer("running_var")
         )
+    # the engine only trains: an eval-mode stacked BatchNorm has no
+    # running-statistics path and refuses rather than normalise by the batch
+    stacked.eval()
+    with pytest.raises(RuntimeError, match="training mode"):
+        stacked(x)
 
 
 @pytest.mark.parametrize("architecture", ["mlp", "resnet18"])
