@@ -1,4 +1,4 @@
-"""Ablations beyond the paper's own tables (see DESIGN.md §5).
+"""Ablations beyond the paper's own tables, run by ``benchmarks/bench_ablation_*.py``.
 
 * meta-classifier family (random forest vs. logistic regression vs. a plain
   prompted-accuracy threshold),

@@ -40,7 +40,8 @@ class ImageClassifier:
     Parameters
     ----------
     model:
-        A module exposing ``forward``, ``backward`` and ``features``.
+        A module exposing ``forward``, ``backward``, ``features`` and
+        ``feature_dim``.
     num_classes:
         Number of output classes (must match the model head).
     name:
@@ -157,18 +158,27 @@ class ImageClassifier:
         return history
 
     # -- inference ------------------------------------------------------------
-    def predict_logits(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Raw logits for an NCHW batch (model switched to eval mode; the
-        forwards run under ``nn.no_grad()`` and keep no backward state)."""
+    def _forward_in_chunks(
+        self, forward: Callable, images: np.ndarray, batch_size: int, width: int
+    ) -> np.ndarray:
+        """``forward`` over ``batch_size``-image chunks, concatenated; the
+        model is switched to eval mode and the forwards run under
+        ``nn.no_grad()``, keeping no backward state.  No images give a
+        ``(0, width)`` array."""
         self.model.eval()
         images = self._as_input(images)
-        outputs = []
         with nn.no_grad():
-            for start in range(0, images.shape[0], batch_size):
-                outputs.append(self.model(images[start : start + batch_size]))
+            outputs = [
+                forward(images[start : start + batch_size])
+                for start in range(0, images.shape[0], batch_size)
+            ]
         if not outputs:
-            return np.empty((0, self.num_classes), dtype=self.dtype)
+            return np.empty((0, width), dtype=self.dtype)
         return np.concatenate(outputs, axis=0)
+
+    def predict_logits(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+        """Raw logits for an NCHW batch, shape ``(N, num_classes)``."""
+        return self._forward_in_chunks(self.model, images, batch_size, self.num_classes)
 
     def predict_proba(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Softmax confidence vectors — the only view a black-box defender gets."""
@@ -179,14 +189,11 @@ class ImageClassifier:
         return np.argmax(self.predict_logits(images, batch_size), axis=1)
 
     def features(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Penultimate-layer features (white-box defenses and visualisation only)."""
-        self.model.eval()
-        images = self._as_input(images)
-        outputs = []
-        with nn.no_grad():
-            for start in range(0, images.shape[0], batch_size):
-                outputs.append(self.model.features(images[start : start + batch_size]))
-        return np.concatenate(outputs, axis=0)
+        """Penultimate-layer features, shape ``(N, model.feature_dim)``
+        (white-box defenses and visualisation only)."""
+        return self._forward_in_chunks(
+            self.model.features, images, batch_size, self.model.feature_dim
+        )
 
     # -- evaluation -------------------------------------------------------------
     def evaluate(self, dataset: ImageDataset, batch_size: int = 256) -> float:

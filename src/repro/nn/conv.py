@@ -11,15 +11,20 @@ The layer keeps three interchangeable execution paths for ``groups == 1``:
   im2col memory-bound; grad-input uses the fused cache-blocked
   :func:`~repro.nn.functional.matmul_col2im`.
 * **im2col** — the explicit unfold-GEMM path (also the grouped/depthwise
-  fallback), issuing exactly the GEMM shapes the layer has always issued.
+  fallback): one whole-batch GEMM, or, for an ungrouped float64 conv whose
+  columns no backward reads, the same bytes one image tile at a time.
 
-Engine selection is **precision-gated**.  Re-tiling or re-orienting a GEMM
-changes BLAS kernel choice and hence accumulation rounding on this platform,
-so the alternative engines are *not* bitwise-interchangeable with im2col —
-they agree only to accumulation-rounding tolerance (~1e-15 relative per
-element in float64).  The float64 reference tier carries a bit-identity
-contract (stacked/sequential parity, warm artifact caches keyed on weight
-fingerprints), so under ``auto`` it always runs im2col; its backward still
+Engine selection is **precision-gated**.  Re-orienting a GEMM, or re-tiling
+it against the transposed weight view, changes BLAS kernel choice and hence
+accumulation rounding on some shapes, so the alternative engines are *not*
+bitwise-interchangeable with im2col — they agree only to accumulation-rounding
+tolerance (~1e-15 relative per element in float64).  The float64 reference
+tier carries a bit-identity contract (stacked/sequential parity, warm artifact
+caches keyed on weight fingerprints), so under ``auto`` it always runs im2col.
+Re-tiling against a C-contiguous weight operand is safe in float64: when no
+backward reads the columns, :func:`~repro.nn.functional.im2col_matmul`
+unfolds and multiplies one image tile at a time against a C-contiguous copy
+of ``W.T``, with the whole-batch GEMM's bytes.  The im2col backward still
 benefits from the cache-blocked :func:`~repro.nn.functional.col2im`, whose
 scatter-add blocking provably preserves per-element accumulation order.  The
 float32 training tier's contract is tolerance-bounded detector equivalence,
@@ -43,7 +48,7 @@ import os
 import numpy as np
 
 from repro.nn import init
-from repro.nn.functional import col2im, conv_windows, im2col, matmul_col2im
+from repro.nn.functional import col2im, conv_windows, im2col, im2col_matmul, matmul_col2im
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.utils.rng import SeedLike, new_rng
@@ -206,11 +211,16 @@ class Conv2d(Module):
         cols_cache = [] if self._keeps_weight_operand() else None
         if self.groups == 1:
             # fast path: no per-group list/concatenate round-trip
-            cols, out_h, out_w = self._unfold_group(x, 0)
-            if cols_cache is not None:
-                cols_cache.append(cols)
             w_mat = self.weight.data.reshape(self.out_channels, -1)
-            merged = cols @ w_mat.T
+            if cols_cache is None:
+                # no backward reads the columns: unfold one image tile at a time
+                merged, out_h, out_w = im2col_matmul(
+                    x, w_mat, self.kernel_size, self.stride, self.padding
+                )
+            else:
+                cols, out_h, out_w = self._unfold_group(x, 0)
+                cols_cache.append(cols)
+                merged = cols @ w_mat.T
         else:
             outputs = []
             for g in range(self.groups):

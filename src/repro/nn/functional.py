@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -100,18 +101,23 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 #   back to (N, C, H, W).
 # * Both preserve the input dtype (float32 stays float32; the accumulator in
 #   col2im is the cols dtype).  col2im's cache blocking is bitwise-safe (it
-#   never reorders any per-element accumulation), but anything that re-tiles
-#   or re-orients a *GEMM* — matmul_col2im's fused fold, the implicit/
+#   never reorders any per-element accumulation).  So is re-tiling a float64
+#   *GEMM* against a C-contiguous weight operand: each of im2col_matmul's
+#   image tiles, multiplied by a C-contiguous copy of w_mat.T, equals its
+#   rows of the whole-batch ``cols @ w_mat.T`` at every zoo conv geometry,
+#   where tiles against the transposed view do not.  Anything else that
+#   re-tiles or re-orients a GEMM — matmul_col2im's fused fold, the implicit/
 #   pointwise conv engines — changes BLAS kernel selection and rounds
 #   differently on some shapes; those paths agree with the explicit form only
 #   to accumulation-rounding tolerance and are reserved for the float32 tier
 #   (see repro.nn.conv).
 # ---------------------------------------------------------------------------
 
-#: byte budget per col2im scatter-add tile; sized so one tile's working set
-#: (cols slice + padded slice) stays within a typical per-core L2.  Folding
-#: the whole (N, C·k·k, L) buffer in one pass streams it k^2 times through
-#: DRAM; per-image blocks keep the scatter-add resident.
+#: byte budget per image tile of col2im's scatter-add and im2col_matmul's
+#: gather; sized so one tile's working set (cols slice + padded slice) stays
+#: within a typical per-core L2.  Folding the whole (N, C·k·k, L) buffer in
+#: one pass streams it k^2 times through DRAM; per-image blocks keep the
+#: scatter-add resident.
 _COL2IM_BLOCK_BYTES = 1 << 19
 
 
@@ -168,17 +174,35 @@ def im2col(
 
     The unfold is one ``np.take`` gather over a zero-padded C-contiguous copy
     of the input viewed as ``(N, C*H_pad*W_pad)``, through a flat per-image
-    index built here from the geometry: column ``(c, ky, kx)`` of output
-    pixel ``(i, j)`` reads ``c*H_pad*W_pad + (i*stride + ky)*W_pad +
-    j*stride + kx``.  Reshaping the :func:`conv_windows` view into columns
-    copies the same elements in runs of only ``kernel``; the gather writes
-    the column matrix in one pass.  The input dtype is preserved, so float32
-    megabatches stay float32 end to end.
+    index built once per geometry (:func:`_im2col_index`): column ``(c, ky,
+    kx)`` of output pixel ``(i, j)`` reads ``c*H_pad*W_pad + (i*stride +
+    ky)*W_pad + j*stride + kx``.  Reshaping the :func:`conv_windows` view
+    into columns copies the same elements in runs of only ``kernel``; the
+    gather writes the column matrix in one pass.  The input dtype is
+    preserved, so float32 megabatches stay float32 end to end.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
     padded = _pad_zeros(x, padding) if padding > 0 else np.ascontiguousarray(x)
+    h_pad, w_pad = h + 2 * padding, w + 2 * padding
+    cols = np.take(
+        padded.reshape(n, c * h_pad * w_pad),
+        _im2col_index(c, h, w, kernel, stride, padding),
+        axis=1,
+        mode="clip",
+    )
+    return cols.reshape(n * out_h * out_w, c * kernel * kernel), out_h, out_w
+
+
+@functools.lru_cache(maxsize=None)
+def _im2col_index(c: int, h: int, w: int, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """The flat per-image gather index of :func:`im2col` for one geometry.
+
+    Built once per geometry, and read-only because every caller shares it.
+    """
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
     h_pad, w_pad = h + 2 * padding, w + 2 * padding
     window = np.arange(kernel)
     index = (
@@ -187,11 +211,50 @@ def im2col(
         + (np.arange(c) * (h_pad * w_pad))[None, None, :, None, None]
         + (window * w_pad)[:, None]
         + window
-    )
-    cols = np.take(
-        padded.reshape(n, c * h_pad * w_pad), index.reshape(-1), axis=1, mode="clip"
-    )
-    return cols.reshape(n * out_h * out_w, c * kernel * kernel), out_h, out_w
+    ).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def im2col_matmul(
+    x: np.ndarray, w_mat: np.ndarray, kernel: int, stride: int, padding: int
+) -> Tuple[np.ndarray, int, int]:
+    """``im2col(x)[0] @ w_mat.T`` without the whole batch's column matrix.
+
+    ``w_mat`` is the ``(C_out, C*k*k)`` conv weight; returns ``(out, out_h,
+    out_w)`` with ``out`` of shape ``(N*out_h*out_w, C_out)``.  A float64
+    batch larger than one :func:`_col2im_block_images` tile is padded,
+    gathered and multiplied one tile of images at a time through reused tile
+    buffers, each tile an ``np.matmul`` against a C-contiguous copy of
+    ``w_mat.T`` into its rows of ``out``: the whole-batch GEMM's bytes (see
+    the contract above).  Any other batch runs the expression itself:
+    against the copy, the whole batch rounds differently at batch 1 on some
+    geometries, and float32 tiles round differently from the whole-batch
+    sgemm (the float32 tier's ``auto`` engine never unfolds more than one
+    tile anyway).
+    """
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    hw = out_h * out_w
+    depth = c * kernel * kernel
+    block = _col2im_block_images(hw * depth * x.itemsize)
+    if n <= block or not x.dtype == w_mat.dtype == np.float64:
+        cols, _, _ = im2col(x, kernel, stride, padding)
+        return cols @ w_mat.T, out_h, out_w
+    w_c = np.ascontiguousarray(w_mat.T)
+    index = _im2col_index(c, h, w, kernel, stride, padding)
+    # only the interior is ever written, so the zero border outlives every tile
+    padded = np.zeros((block, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    cols = np.empty((block, hw * depth), dtype=x.dtype)
+    out = np.empty((n * hw, w_mat.shape[0]), dtype=x.dtype)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        b = stop - start
+        padded[:b, :, padding : padding + h, padding : padding + w] = x[start:stop]
+        np.take(padded[:b].reshape(b, -1), index, axis=1, mode="clip", out=cols[:b])
+        np.matmul(cols[:b].reshape(b * hw, depth), w_c, out=out[start * hw : stop * hw])
+    return out, out_h, out_w
 
 
 def _fold_block(padded, cols6, kernel: int, stride: int, out_h: int, out_w: int) -> None:

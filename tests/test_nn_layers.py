@@ -496,15 +496,20 @@ def test_models_match_reference_kernels(architecture, tiny_dataset, monkeypatch)
         assert left.tobytes() == right.tobytes()
 
 
-@pytest.mark.parametrize("batch", [1, 2, 64, 120, 128])
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 33, 64, 65, 120, 128, 129, 256])
 def test_no_grad_conv_is_one_gemm_over_the_whole_batch(batch, monkeypatch):
-    """A no-grad float64 conv is ``im2col(x)[0] @ w.reshape(O, -1).T`` over
-    the whole batch, byte for byte, at every ``groups == 1`` geometry of
+    """A float64 conv that keeps no column buffer (under no_grad, or with a
+    frozen weight in grad mode) gives ``im2col(x)[0] @ w.reshape(O, -1).T``
+    over the whole batch, byte for byte, at every ``groups == 1`` geometry of
     resnet18, mobilenetv2 and vit on 16-pixel images (vit has none: its patch
-    embedding is a Linear).  Running that GEMM in blocks of images is not
-    the same: on OpenBLAS 0.3.31 the last 64 rows of ``A @ W.T`` differ from
-    ``A[-64:] @ W.T`` at K = 144, O = 16, which moved resnet18
-    ``predict_proba`` bytes at batch 64 and 120 but not at 80 or 128."""
+    embedding is a Linear), though it multiplies one image tile at a time.
+    Tiles against the transposed view ``W.T`` differ: on OpenBLAS 0.3.31 the
+    last 64 rows of ``A @ W.T`` differ from ``A[-64:] @ W.T`` at K = 144,
+    O = 16, and one-image tiles differ at the O = 16, 8x8-output geometries.
+    Tiles against a C-contiguous copy of ``W.T`` match, so the conv
+    multiplies against that copy.  Batches 5, 33, 65, 129 and 256 end in a
+    part-filled tile at one geometry or more.  A frozen conv's input
+    gradient is the trainable conv's."""
     from repro.models.registry import build_classifier
 
     monkeypatch.delenv("REPRO_CONV_ENGINE", raising=False)
@@ -540,6 +545,29 @@ def test_no_grad_conv_is_one_gemm_over_the_whole_batch(batch, monkeypatch):
         assert out.dtype == reference.dtype == np.float64
         assert out.shape == reference.shape
         assert out.tobytes() == reference.tobytes(), (channels, out_channels, kernel, h)
+
+        # grad mode: a trainable weight keeps the columns, a frozen one does not
+        upstream = rng.normal(size=reference.shape)
+        input_grads = []
+        for frozen in (False, True):
+            layer.weight.requires_grad = not frozen
+            out = layer(x)
+            assert (layer._cols is None) == frozen
+            assert out.tobytes() == reference.tobytes(), (frozen, channels, out_channels, kernel, h)
+            input_grads.append(layer.backward(upstream))
+        assert input_grads[1].tobytes() == input_grads[0].tobytes()
+
+
+def test_im2col_index_is_memoised_read_only():
+    """The gather index is built once per geometry and shared, so no caller
+    may write to it."""
+    from repro.nn.functional import _im2col_index
+
+    index = _im2col_index(3, 9, 9, 3, 2, 1)
+    assert _im2col_index(3, 9, 9, 3, 2, 1) is index
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0] = 0
 
 
 def test_im2col_preserves_dtype(rng):
