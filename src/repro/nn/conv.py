@@ -11,8 +11,12 @@ The layer keeps three interchangeable execution paths for ``groups == 1``:
   im2col memory-bound; grad-input uses the fused cache-blocked
   :func:`~repro.nn.functional.matmul_col2im`.
 * **im2col** — the explicit unfold-GEMM path (also the grouped/depthwise
-  fallback): one whole-batch GEMM, or, for an ungrouped float64 conv whose
-  columns no backward reads, the same bytes one image tile at a time.
+  fallback).  Ungrouped, it multiplies one image tile at a time
+  (:func:`~repro.nn.functional.im2col_matmul`; a float64 batch of several
+  tiles gives the whole-batch GEMM's bytes), and folds the input gradient
+  tile by tile through :func:`~repro.nn.functional.matmul_col2im`.  Grouped,
+  each group runs one whole-batch GEMM and folds its full column gradient
+  with :func:`~repro.nn.functional.col2im`.
 
 Engine selection is **precision-gated**.  Re-orienting a GEMM, or re-tiling
 it against the transposed weight view, changes BLAS kernel choice and hence
@@ -21,24 +25,27 @@ bitwise-interchangeable with im2col — they agree only to accumulation-rounding
 tolerance (~1e-15 relative per element in float64).  The float64 reference
 tier carries a bit-identity contract (stacked/sequential parity, warm artifact
 caches keyed on weight fingerprints), so under ``auto`` it always runs im2col.
-Re-tiling against a C-contiguous weight operand is safe in float64: when no
-backward reads the columns, :func:`~repro.nn.functional.im2col_matmul`
-unfolds and multiplies one image tile at a time against a C-contiguous copy
-of ``W.T``, with the whole-batch GEMM's bytes.  The im2col backward still
-benefits from the cache-blocked :func:`~repro.nn.functional.col2im`, whose
-scatter-add blocking provably preserves per-element accumulation order.  The
-float32 training tier's contract is tolerance-bounded detector equivalence,
-not byte parity, so under ``auto`` it picks pointwise / implicit by the size
-heuristic (implicit once the would-be column buffer exceeds
+Splitting a GEMM's rows into image tiles, with both operands laid out as in
+the whole GEMM, is safe in float64: the forward's tiles multiply against a
+C-contiguous copy of ``W.T``, and the input gradient's tiles run rows of the
+same ``grad_flat @ w_mat`` NN GEMM, each folded by the cache-blocked
+scatter-add of :func:`~repro.nn.functional.col2im`, whose blocking provably
+preserves per-element accumulation order.  The weight gradient stays one
+whole-batch ``grad_flat.T @ cols`` GEMM, because tiling would split its sum.
+The float32 training tier's contract is tolerance-bounded detector
+equivalence, not byte parity, so under ``auto`` it picks pointwise / implicit
+by the size heuristic (implicit once the would-be column buffer exceeds
 ``_IMPLICIT_MIN_COLS_BYTES``; dispatch-bound small shapes stay on im2col).
 ``REPRO_CONV_ENGINE`` (``auto`` | ``im2col`` | ``implicit``) overrides the
 heuristic in any dtype for benchmarking and the engine-parity tests.
 
 Every engine keeps its weight-gradient operand (the strided input, the
-placement view or the k^2-sized column buffer) only when backward will
-compute the weight gradient: not under :func:`~repro.nn.module.no_grad`
-(inference) and not for a frozen weight (white-box prompting's source model).
-The input gradient reads none of them, so no backward ever re-unfolds.
+placement view, or for im2col the input itself, whose columns backward
+re-gathers just before the weight GEMM) only when backward will compute the
+weight gradient: not under :func:`~repro.nn.module.no_grad` (inference) and
+not for a frozen weight (white-box prompting's source model).  No engine
+keeps a k^2-sized column matrix, and the input gradient reads none of these
+operands.
 """
 
 from __future__ import annotations
@@ -81,6 +88,10 @@ class Conv2d(Module):
     ``groups > 1`` splits channels into groups convolved independently;
     ``groups == in_channels == out_channels`` is a depthwise convolution, which
     the MobileNet-style architecture uses.
+
+    A forward whose backward computes the weight gradient keeps a reference
+    to its input (or a view of it), not a copy, so a caller must not change
+    the input in place between ``forward`` and ``backward``.
     """
 
     def __init__(
@@ -208,30 +219,23 @@ class Conv2d(Module):
     def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         cout_g = self.out_channels // self.groups
-        cols_cache = [] if self._keeps_weight_operand() else None
+        # backward re-gathers the weight gradient's columns from the input
+        self._x = x if self._keeps_weight_operand() else None
         if self.groups == 1:
-            # fast path: no per-group list/concatenate round-trip
+            # fast path: no per-group list/concatenate round-trip, and the
+            # columns unfold one image tile at a time
             w_mat = self.weight.data.reshape(self.out_channels, -1)
-            if cols_cache is None:
-                # no backward reads the columns: unfold one image tile at a time
-                merged, out_h, out_w = im2col_matmul(
-                    x, w_mat, self.kernel_size, self.stride, self.padding
-                )
-            else:
-                cols, out_h, out_w = self._unfold_group(x, 0)
-                cols_cache.append(cols)
-                merged = cols @ w_mat.T
+            merged, out_h, out_w = im2col_matmul(
+                x, w_mat, self.kernel_size, self.stride, self.padding
+            )
         else:
             outputs = []
             for g in range(self.groups):
                 cols, out_h, out_w = self._unfold_group(x, g)
-                if cols_cache is not None:
-                    cols_cache.append(cols)
                 wg = self.weight.data[g * cout_g : (g + 1) * cout_g]
                 outputs.append(cols @ wg.reshape(cout_g, -1).T)
             # each output is (N*out_h*out_w, cout_g); stack along channel axis
             merged = np.concatenate(outputs, axis=1)
-        self._cols = cols_cache
         merged = merged.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         if self.use_bias:
             merged = merged + self.bias.data[None, :, None, None]
@@ -293,28 +297,29 @@ class Conv2d(Module):
         cin_g = self.in_channels // self.groups
         cout_g = self.out_channels // self.groups
         grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
-        cols_cache = self._cols
+        x = self._x
         if self.groups == 1:
             w_mat = self.weight.data.reshape(self.out_channels, -1)
-            if cols_cache is not None:
+            if x is not None:
+                # the whole-batch GEMM on re-gathered columns, freed at once
                 self.weight.accumulate_grad(
-                    (grad_flat.T @ cols_cache[0]).reshape(self.weight.data.shape)
+                    (grad_flat.T @ self._unfold_group(x, 0)[0]).reshape(self.weight.data.shape)
                 )
-            # the historical full GEMM, then the cache-blocked fold (which is
-            # add-order-preserving, hence bitwise equal to the unblocked one)
-            grad_input = col2im(
-                grad_flat @ w_mat, self._input_shape, self.kernel_size, self.stride, self.padding
+            # row tiles of grad_flat @ w_mat, each folded while cache-hot:
+            # the bytes of col2im(grad_flat @ w_mat) without its full matrix
+            grad_input = matmul_col2im(
+                grad_flat, w_mat, self._input_shape, self.kernel_size, self.stride, self.padding
             )
             return np.asarray(grad_input, dtype=self._dtype)
         grad_input = np.empty(self._input_shape, dtype=self._dtype)
-        grad_weight = None if cols_cache is None else np.empty_like(self.weight.data)
+        grad_weight = None if x is None else np.empty_like(self.weight.data)
         group_input_shape = (n, cin_g, self._input_shape[2], self._input_shape[3])
         for g in range(self.groups):
             gout = grad_flat[:, g * cout_g : (g + 1) * cout_g]
             wg = self.weight.data[g * cout_g : (g + 1) * cout_g].reshape(cout_g, -1)
             if grad_weight is not None:
                 grad_weight[g * cout_g : (g + 1) * cout_g] = (
-                    gout.T @ cols_cache[g]
+                    gout.T @ self._unfold_group(x, g)[0]
                 ).reshape(cout_g, cin_g, self.kernel_size, self.kernel_size)
             grad_cols = gout @ wg
             grad_input[:, g * cin_g : (g + 1) * cin_g] = col2im(

@@ -101,16 +101,20 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 #   back to (N, C, H, W).
 # * Both preserve the input dtype (float32 stays float32; the accumulator in
 #   col2im is the cols dtype).  col2im's cache blocking is bitwise-safe (it
-#   never reorders any per-element accumulation).  So is re-tiling a float64
-#   *GEMM* against a C-contiguous weight operand: each of im2col_matmul's
-#   image tiles, multiplied by a C-contiguous copy of w_mat.T, equals its
-#   rows of the whole-batch ``cols @ w_mat.T`` at every zoo conv geometry,
-#   where tiles against the transposed view do not.  Anything else that
-#   re-tiles or re-orients a GEMM — matmul_col2im's fused fold, the implicit/
-#   pointwise conv engines — changes BLAS kernel selection and rounds
-#   differently on some shapes; those paths agree with the explicit form only
-#   to accumulation-rounding tolerance and are reserved for the float32 tier
-#   (see repro.nn.conv).
+#   never reorders any per-element accumulation).  So is splitting a GEMM's
+#   rows into image tiles with both operands laid out as in the whole GEMM:
+#   each of im2col_matmul's float64 tiles, multiplied by a C-contiguous copy
+#   of w_mat.T, equals its rows of the whole-batch ``cols @ w_mat.T`` at
+#   every zoo conv geometry, where tiles against the transposed view do not;
+#   and matmul_col2im's tiles of the NN GEMM ``grad_flat @ w_mat``, folded
+#   tile by tile, equal ``col2im(grad_flat @ w_mat)`` in float64 and float32.
+#   Both are measured properties of the BLAS kernel, swept byte for byte
+#   (ARCHITECTURE.md gives the sweep) and pinned by tests/test_nn_layers.py;
+#   the float64 conv runs both.  What re-orients a GEMM —
+#   the implicit/pointwise conv engines' einsum and channel-mixing matmul —
+#   changes BLAS kernel selection and rounds differently on some shapes;
+#   those engines agree with the explicit form only to accumulation-rounding
+#   tolerance and are reserved for the float32 tier (see repro.nn.conv).
 # ---------------------------------------------------------------------------
 
 #: byte budget per image tile of col2im's scatter-add and im2col_matmul's
@@ -325,18 +329,21 @@ def matmul_col2im(
     im2col) and ``w_mat`` is ``(C_out, C*k*k)``; the result is the conv
     grad-input of shape ``input_shape``.  Each image tile runs its slice of
     the GEMM and immediately folds the product while it is cache-hot, so the
-    ``(N*out_h*out_w, C*k*k)`` intermediate never exists in full.  Row
-    blocking re-tiles the GEMM, which can change BLAS kernel selection and
-    hence rounding, so the result matches the unfused two-step form only to
-    accumulation tolerance — this fused path therefore backs the implicit
-    conv engine (float32 tier), never the float64 reference path.
+    ``(N*out_h*out_w, C*k*k)`` intermediate never exists in full.  The tiles
+    are row blocks of the same NN GEMM, and the fold adds in col2im's order,
+    so the result is the unfused two-step form's bytes (swept at every
+    ``groups == 1`` zoo geometry, float64 and float32): it backs the input
+    gradient of the implicit engine and of the ungrouped im2col engine,
+    float64 reference tier included.
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel, stride, padding)
     out_w = conv_output_size(w, kernel, stride, padding)
     hw = out_h * out_w
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad_flat.dtype)
-    block = _col2im_block_images(hw * c * kernel * kernel * grad_flat.itemsize)
+    # the product's dtype, as col2im accumulates in
+    dtype = np.result_type(grad_flat, w_mat)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
+    block = _col2im_block_images(hw * c * kernel * kernel * dtype.itemsize)
     for start in range(0, n, block):
         stop = min(start + block, n)
         grad_cols = grad_flat[start * hw : stop * hw] @ w_mat

@@ -456,12 +456,12 @@ def test_batchnorm_matches_reference_broadcast(kind, layout, mode, dtype, rng):
 def test_models_match_reference_kernels(architecture, tiny_dataset, monkeypatch):
     """Whole networks give the same bytes as with the strided-view im2col and
     the broadcast BatchNorm forward patched in: eval predict_proba, the eval
-    input gradient (with trainable weights, so the convs keep their columns)
-    and the state dict after one training step.  Both runs share this host's
-    BLAS, so any build holds."""
+    input gradient (with trainable weights, so the convs keep their inputs
+    and re-gather columns for the weight gradient) and the state dict after
+    one training step.  Both runs share one BLAS, so any build holds."""
     from repro.config import TrainingConfig
     from repro.models.registry import build_classifier
-    from repro.nn import conv, norm, pooling
+    from repro.nn import conv, functional, norm, pooling
 
     images = np.random.default_rng(5).normal(size=(6, 3, 12, 12))
 
@@ -488,6 +488,7 @@ def test_models_match_reference_kernels(architecture, tiny_dataset, monkeypatch)
 
     new = run()
     monkeypatch.setattr(conv, "im2col", _reference_im2col)
+    monkeypatch.setattr(functional, "im2col", _reference_im2col)
     monkeypatch.setattr(pooling, "im2col", _reference_im2col)
     monkeypatch.setattr(norm._BatchNormBase, "forward", _reference_batchnorm_forward)
     reference = run()
@@ -496,23 +497,12 @@ def test_models_match_reference_kernels(architecture, tiny_dataset, monkeypatch)
         assert left.tobytes() == right.tobytes()
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 5, 33, 64, 65, 120, 128, 129, 256])
-def test_no_grad_conv_is_one_gemm_over_the_whole_batch(batch, monkeypatch):
-    """A float64 conv that keeps no column buffer (under no_grad, or with a
-    frozen weight in grad mode) gives ``im2col(x)[0] @ w.reshape(O, -1).T``
-    over the whole batch, byte for byte, at every ``groups == 1`` geometry of
-    resnet18, mobilenetv2 and vit on 16-pixel images (vit has none: its patch
-    embedding is a Linear), though it multiplies one image tile at a time.
-    Tiles against the transposed view ``W.T`` differ: on OpenBLAS 0.3.31 the
-    last 64 rows of ``A @ W.T`` differ from ``A[-64:] @ W.T`` at K = 144,
-    O = 16, and one-image tiles differ at the O = 16, 8x8-output geometries.
-    Tiles against a C-contiguous copy of ``W.T`` match, so the conv
-    multiplies against that copy.  Batches 5, 33, 65, 129 and 256 end in a
-    part-filled tile at one geometry or more.  A frozen conv's input
-    gradient is the trainable conv's."""
+def _zoo_conv_layers(monkeypatch):
+    """One conv layer per ``groups == 1`` geometry of resnet18, mobilenetv2
+    and vit on 16-pixel images, keyed by ``(C, O, k, stride, padding, H, W)``
+    (vit has none: its patch embedding is a Linear)."""
     from repro.models.registry import build_classifier
 
-    monkeypatch.delenv("REPRO_CONV_ENGINE", raising=False)
     layers = {}
     original = nn.Conv2d.forward
 
@@ -523,13 +513,33 @@ def test_no_grad_conv_is_one_gemm_over_the_whole_batch(batch, monkeypatch):
             layers.setdefault(geometry, self)
         return original(self, x)
 
-    monkeypatch.setattr(nn.Conv2d, "forward", record)
-    for architecture in ("resnet18", "mobilenetv2", "vit"):
-        build_classifier(architecture, 10, image_size=16, rng=0).predict_proba(
-            np.zeros((1, 3, 16, 16))
-        )
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(nn.Conv2d, "forward", record)
+        for architecture in ("resnet18", "mobilenetv2", "vit"):
+            build_classifier(architecture, 10, image_size=16, rng=0).predict_proba(
+                np.zeros((1, 3, 16, 16))
+            )
     assert layers
+    return layers
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 33, 64, 65, 120, 128, 129, 256])
+def test_no_grad_conv_is_one_gemm_over_the_whole_batch(batch, monkeypatch):
+    """Every ungrouped float64 conv gives ``im2col(x)[0] @ w.reshape(O, -1).T``
+    over the whole batch, byte for byte, at every ``groups == 1`` geometry of
+    the zoo on 16-pixel images, though it multiplies one image tile at a
+    time.  Tiles against the transposed view ``W.T`` differ: on OpenBLAS
+    0.3.31 the last 64 rows of ``A @ W.T`` differ from ``A[-64:] @ W.T`` at
+    K = 144, O = 16, and one-image tiles differ at the O = 16, 8x8-output
+    geometries.  Tiles against a C-contiguous copy of ``W.T`` match, so the
+    conv multiplies against that copy.  Batches 5, 33, 65, 129 and 256 end
+    in a part-filled tile at one geometry or more.  In grad mode a trainable
+    conv keeps its input, re-gathers it for the whole-batch weight GEMM
+    ``grad_flat.T @ im2col(x)[0]`` and folds ``col2im(grad_flat @ w_mat)``
+    tile by tile, all byte-equal to the whole-batch forms; a frozen conv
+    keeps nothing and gives the trainable conv's input gradient."""
+    monkeypatch.delenv("REPRO_CONV_ENGINE", raising=False)
+    layers = _zoo_conv_layers(monkeypatch)
 
     rng = np.random.default_rng(batch)
     for (channels, out_channels, kernel, stride, padding, h, w), layer in layers.items():
@@ -546,16 +556,22 @@ def test_no_grad_conv_is_one_gemm_over_the_whole_batch(batch, monkeypatch):
         assert out.shape == reference.shape
         assert out.tobytes() == reference.tobytes(), (channels, out_channels, kernel, h)
 
-        # grad mode: a trainable weight keeps the columns, a frozen one does not
+        # grad mode: a trainable weight keeps the input, a frozen one nothing
         upstream = rng.normal(size=reference.shape)
-        input_grads = []
+        grad_flat = upstream.transpose(0, 2, 3, 1).reshape(-1, out_channels)
+        w_mat = layer.weight.data.reshape(out_channels, -1)
+        input_reference = col2im(grad_flat @ w_mat, x.shape, kernel, stride, padding)
         for frozen in (False, True):
             layer.weight.requires_grad = not frozen
+            layer.zero_grad()
             out = layer(x)
-            assert (layer._cols is None) == frozen
+            assert layer._x is (None if frozen else x)
             assert out.tobytes() == reference.tobytes(), (frozen, channels, out_channels, kernel, h)
-            input_grads.append(layer.backward(upstream))
-        assert input_grads[1].tobytes() == input_grads[0].tobytes()
+            input_grad = layer.backward(upstream)
+            assert input_grad.tobytes() == input_reference.tobytes(), (frozen, channels, out_channels, kernel, h)
+            if not frozen:
+                weight_reference = (grad_flat.T @ cols).reshape(layer.weight.data.shape)
+                assert layer.weight.grad.tobytes() == weight_reference.tobytes()
 
 
 def test_im2col_index_is_memoised_read_only():
@@ -635,16 +651,17 @@ def test_grouped_conv_matches_ungrouped_halves(rng, dtype):
 
 
 def test_conv_eval_mode_drops_im2col_scratch_but_backward_still_works(rng):
-    """Inference and frozen convs must not retain the k^2-sized im2col
-    buffer: a no_grad() forward keeps none, and a frozen conv (white-box
-    prompting's source model) keeps none yet gives the same input gradient
-    and no weight gradient.  An eval backward equals a train-mode one."""
+    """A train-mode forward keeps only the input itself, never the k^2-sized
+    column matrix; a no_grad() forward keeps nothing, and a frozen conv
+    (white-box prompting's source model) keeps nothing yet gives the same
+    input gradient and no weight gradient.  An eval backward equals a
+    train-mode one."""
     conv = nn.Conv2d(3, 4, 3, padding=1, rng=1)
     x = rng.normal(size=(2, 3, 8, 8))
 
     conv.train()
     out_train = conv(x)
-    assert conv._cols is not None
+    assert conv._x is x
     upstream = rng.normal(size=out_train.shape)
     grad_train = conv.backward(upstream)
     weight_grad_train = conv.weight.grad.copy()
@@ -660,11 +677,11 @@ def test_conv_eval_mode_drops_im2col_scratch_but_backward_still_works(rng):
 
     with nn.no_grad():
         np.testing.assert_array_equal(conv(x), out_eval)
-    assert conv._cols is None
+    assert conv._x is None
 
     conv.freeze()
     np.testing.assert_array_equal(conv(x), out_eval)
-    assert conv._cols is None
+    assert conv._x is None
     np.testing.assert_array_equal(conv.backward(upstream), grad_eval)
     assert conv.weight.grad is None and conv.bias.grad is None
 
@@ -745,10 +762,11 @@ def test_frozen_layer_keeps_no_weight_operand(name, layer_factory, shape, engine
     """A frozen Linear or Conv2d (every engine: im2col, implicit and the
     pointwise path k=1 takes under the override) keeps no weight-gradient
     operand and computes no parameter gradient, and its output and input
-    gradient are the trainable layer's bytes."""
+    gradient are the trainable layer's bytes.  A trainable im2col conv
+    (ungrouped, grouped or depthwise) keeps the input itself."""
     monkeypatch.setenv("REPRO_CONV_ENGINE", engine)
     x = rng.normal(size=shape).astype(dtype)
-    operands = ("_x2", "_cols", "_windows", "_pw_x3")
+    operands = ("_x2", "_x", "_windows", "_pw_x3")
 
     def run(frozen):
         layer = layer_factory().astype(dtype)
@@ -763,6 +781,8 @@ def test_frozen_layer_keeps_no_weight_operand(name, layer_factory, shape, engine
     full, full_out, full_grad, full_kept = run(frozen=False)
     frozen, frozen_out, frozen_grad, frozen_kept = run(frozen=True)
     assert len(full_kept) == 1 and frozen_kept == []
+    if getattr(full, "_engine", None) == "im2col":
+        assert full_kept[0] is x
     assert all(param.grad is not None for param in full.parameters())
     assert all(param.grad is None for param in frozen.parameters())
     assert frozen_out.tobytes() == full_out.tobytes()
@@ -820,23 +840,39 @@ def test_conv_engine_override_rejects_unknown_value(monkeypatch):
         conv_engine_override()
 
 
-def test_matmul_col2im_matches_unfused_form(rng):
-    from repro.nn.functional import matmul_col2im
+def test_matmul_col2im_matches_unfused_form(monkeypatch):
+    """The image-tiled fold gives ``col2im(grad_flat @ w_mat)`` byte for byte
+    at every ``groups == 1`` zoo geometry on 16-pixel images, in float64,
+    float32 and a float32 gradient against float64 weights (the product's
+    dtype accumulates): each tile's rows of an NN GEMM round as the whole
+    GEMM's do, and the fold adds in the same order.  At float64 every
+    geometry meets a batch that ends in a part-filled tile after a full one;
+    16 and 32 are the training batches."""
+    from repro.nn.functional import _col2im_block_images, conv_output_size, matmul_col2im
 
-    for kernel, stride, padding, shape in (
-        (3, 1, 1, (5, 3, 8, 8)),
-        (3, 2, 1, (4, 2, 9, 9)),
-        (5, 1, 2, (3, 4, 10, 10)),
-    ):
-        n, c, h, w = shape
-        out_h = (h + 2 * padding - kernel) // stride + 1
-        out_w = (w + 2 * padding - kernel) // stride + 1
-        cout = 6
-        grad_flat = rng.normal(size=(n * out_h * out_w, cout))
-        w_mat = rng.normal(size=(cout, c * kernel * kernel))
-        fused = matmul_col2im(grad_flat, w_mat, shape, kernel, stride, padding)
-        unfused = col2im(grad_flat @ w_mat, shape, kernel, stride, padding)
-        np.testing.assert_allclose(fused, unfused, rtol=0.0, atol=1e-9)
+    layers = _zoo_conv_layers(monkeypatch)
+    part_filled = set()
+    for geometry, layer in layers.items():
+        channels, out_channels, kernel, stride, padding, h, w = geometry
+        out_h = conv_output_size(h, kernel, stride, padding)
+        out_w = conv_output_size(w, kernel, stride, padding)
+        for grad_dtype, weight_dtype in (
+            (np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)
+        ):
+            w_mat = layer.weight.data.reshape(out_channels, -1).astype(weight_dtype)
+            block = _col2im_block_images(out_h * out_w * w_mat.shape[1] * w_mat.itemsize)
+            for batch in (5, 16, 32, 33, 65, 129):
+                shape = (batch, channels, h, w)
+                grad_flat = np.random.default_rng(batch).normal(
+                    size=(batch * out_h * out_w, out_channels)
+                ).astype(grad_dtype)
+                fused = matmul_col2im(grad_flat, w_mat, shape, kernel, stride, padding)
+                unfused = col2im(grad_flat @ w_mat, shape, kernel, stride, padding)
+                assert fused.dtype == unfused.dtype == weight_dtype
+                assert fused.tobytes() == unfused.tobytes(), (geometry, batch, grad_dtype, weight_dtype)
+                if grad_dtype == weight_dtype == np.float64 and batch > block and batch % block:
+                    part_filled.add(geometry)
+    assert part_filled == set(layers)
 
 
 def test_col2im_blocking_is_bitwise_stable(rng):
