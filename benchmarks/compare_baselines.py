@@ -3,7 +3,7 @@
 Each JSON file in ``benchmarks/baselines/`` names one benchmark-results file
 (the ``BENCH_*.json`` a smoke run writes into the working directory) and the
 metrics in it that must not regress.  Only *ratio* metrics are versioned —
-stacked-vs-sequential speedup, float32-vs-float64 speedup, and the like — so
+float32-vs-float64 speedup, process-vs-thread speedup, and the like — so
 the gate is meaningful across machines; absolute models/s depend on the
 runner and would flap.
 

@@ -1,6 +1,6 @@
 """D-series rules: determinism of every computation that lands in an artifact.
 
-The repository's cache keys, parity tests (stacked ≡ sequential, warm-cache)
+The repository's cache keys, parity tests (parallel ≡ sequential, warm-cache)
 and cross-process artifact reuse all assume that a computation's output is a
 pure function of its seed and inputs.  These rules catch the classic ways that
 assumption silently breaks: global RNG state, unseeded generators, wall-clock

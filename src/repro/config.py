@@ -219,9 +219,6 @@ def _env_int(name: str, default: Optional[int]) -> Optional[int]:
 
 
 _RUNTIME_BACKENDS = ("serial", "thread", "process")
-#: accepted values for RuntimeConfig.shadow_training / REPRO_SHADOW_TRAINING
-#: (single source of truth, shared with ShadowModelFactory)
-SHADOW_TRAINING_MODES = ("auto", "stacked", "sequential")
 #: accepted values for RuntimeConfig.precision / REPRO_PRECISION: the training
 #: dtype of shadow pools and detectors.  "float64" is the reference tier
 #: (bit-identical to every run before the precision split existed);
@@ -272,13 +269,6 @@ class RuntimeConfig:
     #: root directory of the persistent artifact store; ``None`` disables
     #: disk caching entirely
     cache_dir: Optional[str] = None
-    #: how shadow pools are trained: "stacked" runs K same-architecture
-    #: shadows as one model-axis computation (:mod:`repro.nn.stacked`),
-    #: "sequential" trains them one by one, and "auto" applies a
-    #: per-architecture-family policy (stack the overhead-bound transformer
-    #: pools, keep cache-bound CNN/MLP pools sequential).  Both modes produce
-    #: the same pool, so artifact-store keys do not depend on this.
-    shadow_training: str = "auto"
     #: training dtype tier for shadow pools and detectors ("float64" |
     #: "float32"); every artifact-store key derived from a non-default tier
     #: carries the precision, so the tiers never share cache entries
@@ -301,12 +291,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; available: {_RUNTIME_BACKENDS}"
             )
-        object.__setattr__(self, "shadow_training", str(self.shadow_training).lower())
-        if self.shadow_training not in SHADOW_TRAINING_MODES:
-            raise ValueError(
-                f"unknown shadow_training {self.shadow_training!r}; "
-                f"available: {SHADOW_TRAINING_MODES}"
-            )
         object.__setattr__(self, "precision", str(self.precision).lower())
         if self.precision not in PRECISIONS:
             raise ValueError(
@@ -324,8 +308,8 @@ class RuntimeConfig:
     def from_env(cls) -> "RuntimeConfig":
         """Build a runtime config from the ``REPRO_*`` environment variables
         (benchmark/CI convenience): ``REPRO_WORKERS``, ``REPRO_BACKEND``,
-        ``REPRO_CACHE_DIR``, ``REPRO_SHADOW_TRAINING``, ``REPRO_PRECISION``,
-        ``REPRO_VERDICT_CACHE`` and ``REPRO_TELEMETRY``.
+        ``REPRO_CACHE_DIR``, ``REPRO_PRECISION``, ``REPRO_VERDICT_CACHE`` and
+        ``REPRO_TELEMETRY``.
         ``REPRO_VERDICT_CACHE=1`` turns verdict memoisation on (any other
         value leaves it off); ``REPRO_TELEMETRY=1`` turns span tracing on the
         same way.  A malformed ``REPRO_WORKERS`` raises a :class:`ValueError`
@@ -335,7 +319,6 @@ class RuntimeConfig:
             workers=_env_int("REPRO_WORKERS", 1),
             backend=os.environ.get("REPRO_BACKEND", "thread"),
             cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
-            shadow_training=os.environ.get("REPRO_SHADOW_TRAINING", "auto"),
             precision=os.environ.get("REPRO_PRECISION") or "float64",
             verdict_cache=os.environ.get("REPRO_VERDICT_CACHE", "0") == "1",
             telemetry=os.environ.get("REPRO_TELEMETRY", "0") == "1",

@@ -196,7 +196,6 @@ class BpromDetector:
                     architecture=self.architecture,
                     shadow_attack=self.shadow_attack,
                     seed=derive_seed(self.seed, "shadows"),
-                    training_mode=self.runtime.shadow_training,
                     precision=self.runtime.precision,
                 )
                 pool = self._fetch_stage(

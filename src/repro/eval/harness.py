@@ -324,7 +324,6 @@ class ExperimentContext:
                 architecture=architecture,
                 shadow_attack=shadow_attack,
                 seed=derive_seed(self.seed, "shadow-pool", *key[:3]),
-                training_mode=runtime.shadow_training,
                 precision=runtime.precision,
             )
             store_key = self._store_key(

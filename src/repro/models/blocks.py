@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.nn import stacked
 from repro.nn.module import Module
 from repro.utils.rng import SeedLike, spawn_rngs
 
@@ -166,8 +165,3 @@ class TokenMean(Module):
         return np.broadcast_to(
             grad, (grad_output.shape[0], self._num_tokens, grad_output.shape[1])
         ).copy()
-
-
-# TokenMean reduces a fixed (token) axis, so the stacked training engine needs
-# a model-axis-aware counterpart rather than the structural composite lift
-stacked.register_leaf(TokenMean, lambda modules: stacked.StackedTokenMean())

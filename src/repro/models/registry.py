@@ -26,10 +26,9 @@ def available_architectures() -> Tuple[str, ...]:
 def architecture_family(architecture: str) -> str:
     """Coarse family of an architecture name: "cnn", "transformer" or "mlp".
 
-    Used by policy code that picks an execution strategy per family (e.g. the
-    stacked shadow-training engine defaults to stacking transformer pools,
-    whose many small token-space ops are Python-overhead-bound, and to the
-    sequential loop for cache-bound CNN/MLP pools).
+    The gateway routes a submission to a tenant of the same family, and
+    :class:`~repro.runtime.registry.DetectorSpec` validates its architecture
+    and reports its family with it.
     """
     arch = architecture.lower()
     if arch in _RESNET_ALIASES or arch in _MOBILENET_ALIASES:

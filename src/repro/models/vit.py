@@ -6,7 +6,6 @@ import numpy as np
 
 from repro import nn
 from repro.models.blocks import TokenMean, TransformerBlock
-from repro.nn import stacked
 from repro.nn.module import Module, Sequential
 from repro.nn.parameter import Parameter
 from repro.utils.rng import SeedLike, new_rng, spawn_rngs
@@ -29,17 +28,6 @@ class _AddPositionalEmbedding(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self.embedding.accumulate_grad(grad_output.sum(axis=0, keepdims=True))
         return grad_output
-
-
-# the positional embedding holds a direct parameter, so the stacked training
-# engine lifts it through a registered counterpart: the (1, T, D) embeddings
-# stack to (K, 1, T, D) and broadcast over the batch axis unchanged
-stacked.register_leaf(
-    _AddPositionalEmbedding,
-    lambda modules: stacked.StackedAdditiveEmbedding(
-        np.stack([m.embedding.data for m in modules]), "embedding"
-    ),
-)
 
 
 class TinyViT(Module):

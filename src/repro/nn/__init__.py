@@ -23,10 +23,6 @@ Public surface
   :class:`Sigmoid`, :class:`Tanh`, :class:`Identity`
 * Losses: :class:`CrossEntropyLoss`, :class:`MSELoss`
 * Optimisers: :class:`SGD`, :class:`Adam`, :class:`StepLR`, :class:`CosineLR`
-* Stacked-model training engine (:mod:`repro.nn.stacked`):
-  :func:`stack_modules` / :func:`unstack_modules`, :func:`fit_stacked` and the
-  ``Stacked*`` layer/optimiser/loss counterparts.  Pools are queried one model
-  at a time; a stacked forward pass never beat that loop.
 """
 
 from repro.nn.parameter import Parameter
@@ -42,21 +38,6 @@ from repro.nn.optim import SGD, Adam, CosineLR, StepLR
 from repro.nn import functional
 from repro.nn import init
 from repro.nn.serialization import load_state_dict, save_state_dict
-from repro.nn import stacked
-from repro.nn.stacked import (
-    StackedAdam,
-    StackedBatchNorm1d,
-    StackedBatchNorm2d,
-    StackedConv2d,
-    StackedCrossEntropyLoss,
-    StackedLayerNorm,
-    StackedLinear,
-    StackedSGD,
-    UnstackableModelError,
-    fit_stacked,
-    stack_modules,
-    unstack_modules,
-)
 
 __all__ = [
     "Parameter",
@@ -92,17 +73,4 @@ __all__ = [
     "init",
     "save_state_dict",
     "load_state_dict",
-    "stacked",
-    "StackedAdam",
-    "StackedBatchNorm1d",
-    "StackedBatchNorm2d",
-    "StackedConv2d",
-    "StackedCrossEntropyLoss",
-    "StackedLayerNorm",
-    "StackedLinear",
-    "StackedSGD",
-    "UnstackableModelError",
-    "fit_stacked",
-    "stack_modules",
-    "unstack_modules",
 ]

@@ -23,8 +23,9 @@ it against the transposed weight view, changes BLAS kernel choice and hence
 accumulation rounding on some shapes, so the alternative engines are *not*
 bitwise-interchangeable with im2col — they agree only to accumulation-rounding
 tolerance (~1e-15 relative per element in float64).  The float64 reference
-tier carries a bit-identity contract (stacked/sequential parity, warm artifact
-caches keyed on weight fingerprints), so under ``auto`` it always runs im2col.
+tier carries a bit-identity contract (the same pool bytes on any worker
+count, warm artifact caches keyed on weight fingerprints), so under ``auto``
+it always runs im2col.
 Splitting a GEMM's rows into image tiles, with both operands laid out as in
 the whole GEMM, is safe in float64: the forward's tiles multiply against a
 C-contiguous copy of ``W.T``, and the input gradient's tiles run rows of the
@@ -189,10 +190,8 @@ class Conv2d(Module):
 
     def _forward_pointwise(self, x: np.ndarray) -> np.ndarray:
         # a 1x1 convolution is channel mixing: (C_out, C_in) @ (N, C_in, L)
-        # without any unfold copy.  The sequential and stacked layers issue
-        # identically-shaped per-image cores, so the twins stay consistent
-        # with each other even though this orientation rounds differently
-        # than the im2col GEMM.
+        # without any unfold copy.  This orientation rounds differently than
+        # the im2col GEMM, so the float64 tier never picks it under ``auto``.
         n = x.shape[0]
         xs = self._strided_input(x)
         out_h, out_w = xs.shape[2], xs.shape[3]

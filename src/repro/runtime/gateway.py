@@ -1,9 +1,9 @@
 """Multi-tenant audit gateway: the one serving path for every audit.
 
 The serve path below this module scales one detector (batched queries,
-stacked pools); the gateway scales *tenants*.  An MLaaS auditor receives
-heterogeneous suspicious models — different architecture families and
-datasets — and the gateway:
+parallel shadow pools); the gateway scales *tenants*.  An MLaaS auditor
+receives heterogeneous suspicious models — different architecture families
+and datasets — and the gateway:
 
 * **routes** each ``(key, model, metadata)`` submission to its tenant's
   detector, matching on architecture family

@@ -18,7 +18,6 @@ ALL_ENV_KNOBS = (
     "REPRO_WORKERS",
     "REPRO_BACKEND",
     "REPRO_CACHE_DIR",
-    "REPRO_SHADOW_TRAINING",
     "REPRO_PRECISION",
     "REPRO_VERDICT_CACHE",
     "REPRO_TELEMETRY",
@@ -36,6 +35,7 @@ REMOVED_ENV_KNOBS = (
     "REPRO_VERDICT_CACHE_BYTES",
     "REPRO_VERDICT_CACHE_TTL",
     "REPRO_TELEMETRY_DIR",
+    "REPRO_SHADOW_TRAINING",
 )
 
 
@@ -53,7 +53,6 @@ def test_every_knob_round_trips(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_WORKERS", "4")
     monkeypatch.setenv("REPRO_BACKEND", "process")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_SHADOW_TRAINING", "STACKED")  # case-folded
     monkeypatch.setenv("REPRO_PRECISION", "FLOAT32")  # case-folded
     monkeypatch.setenv("REPRO_VERDICT_CACHE", "1")
     monkeypatch.setenv("REPRO_TELEMETRY", "1")
@@ -62,7 +61,6 @@ def test_every_knob_round_trips(monkeypatch, tmp_path):
         workers=4,
         backend="process",
         cache_dir=str(tmp_path / "cache"),
-        shadow_training="stacked",
         precision="float32",
         verdict_cache=True,
         telemetry=True,
@@ -74,12 +72,7 @@ def test_every_knob_round_trips(monkeypatch, tmp_path):
 
 def test_empty_values_fall_back_to_defaults(monkeypatch):
     for name in ALL_ENV_KNOBS:
-        if name in (
-            "REPRO_BACKEND",
-            "REPRO_SHADOW_TRAINING",
-            "REPRO_VERDICT_CACHE",
-            "REPRO_TELEMETRY",
-        ):
+        if name in ("REPRO_BACKEND", "REPRO_VERDICT_CACHE", "REPRO_TELEMETRY"):
             continue  # string knobs: empty is handled below / means unset
         monkeypatch.setenv(name, "")
     runtime = RuntimeConfig.from_env()
@@ -124,10 +117,6 @@ def test_malformed_enumerations_fail_fast(monkeypatch):
     with pytest.raises(ValueError, match="backend"):
         RuntimeConfig.from_env()
     monkeypatch.delenv("REPRO_BACKEND")
-    monkeypatch.setenv("REPRO_SHADOW_TRAINING", "psychic")
-    with pytest.raises(ValueError, match="shadow_training"):
-        RuntimeConfig.from_env()
-    monkeypatch.delenv("REPRO_SHADOW_TRAINING")
     monkeypatch.setenv("REPRO_PRECISION", "float16")
     with pytest.raises(ValueError, match="precision"):
         RuntimeConfig.from_env()

@@ -12,6 +12,7 @@ from repro.models import (
     build_classifier,
     build_model,
 )
+from repro.models.registry import architecture_family
 
 ARCHITECTURES = ["resnet18", "mobilenetv2", "mobilevit", "mlp"]
 
@@ -50,6 +51,15 @@ def test_registry_aliases_map_to_families():
     with pytest.raises(ValueError):
         build_model("alexnet", 3, 12)
     assert "resnet18" in available_architectures()
+
+
+def test_architecture_family():
+    assert architecture_family("resnet18") == "cnn"
+    assert architecture_family("mobilenetv2") == "cnn"
+    assert architecture_family("swin") == "transformer"
+    assert architecture_family("mlp") == "mlp"
+    with pytest.raises(ValueError):
+        architecture_family("alexnet")
 
 
 def test_classifier_predictions_are_consistent(trained_mlp, tiny_test_dataset):

@@ -80,11 +80,6 @@ STATEFUL_CASES = (
     + [
         ("conv-k1-implicit", lambda: nn.Conv2d(6, 4, 1, rng=1), (2, 6, 8, 8)),
         ("dropout", lambda: nn.Dropout(0.5, rng=0), (3, 4)),
-        (
-            "stacked-conv",
-            lambda: nn.StackedConv2d.from_modules([nn.Conv2d(3, 4, 3, padding=1, rng=s) for s in (1, 2)]),
-            (2, 2, 3, 8, 8),
-        ),
     ]
 )
 

@@ -5,7 +5,7 @@ in-place Adam/SGD passes must reproduce the original expression-per-line
 update math byte for byte — otherwise every cached pool would silently
 invalidate.  These tests drive the shipped optimisers and literal reference
 implementations of the pre-fusion expressions over identical parameter/grad
-streams (including stacked ``(K, ...)`` shapes) and require exact equality.
+streams (vectors to rank-4 tensors) and require exact equality.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.nn.optim import SGD, Adam
 from repro.nn.parameter import Parameter
-from repro.nn.stacked import StackedAdam, StackedSGD
 
 
 def _make_params(rng: np.random.Generator, shapes):
@@ -31,7 +30,7 @@ def _set_grads(params, grads):
         param.grad = grad.copy()
 
 
-SHAPES = [(7, 3), (16,), (2, 4, 3, 3), (5, 8, 6)]  # incl. a stacked-style (K, ...) rank
+SHAPES = [(7, 3), (16,), (2, 4, 3, 3), (5, 8, 6)]  # ranks 1 to 4
 
 
 class _ReferenceSGD:
@@ -100,7 +99,7 @@ def _run_pair(fused, reference, params_fused, params_reference, steps=7, seed=0)
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
-@pytest.mark.parametrize("optimizer_cls", [Adam, StackedAdam])
+@pytest.mark.parametrize("optimizer_cls", [Adam])
 def test_adam_fused_bit_identical(optimizer_cls, weight_decay, rng):
     params = _make_params(rng, SHAPES)
     reference_params = _clone_params(params)
@@ -113,7 +112,7 @@ def test_adam_fused_bit_identical(optimizer_cls, weight_decay, rng):
 
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
 @pytest.mark.parametrize("nesterov", [False, True])
-@pytest.mark.parametrize("optimizer_cls", [SGD, StackedSGD])
+@pytest.mark.parametrize("optimizer_cls", [SGD])
 def test_sgd_fused_bit_identical(optimizer_cls, nesterov, weight_decay, rng):
     params = _make_params(rng, SHAPES)
     reference_params = _clone_params(params)

@@ -8,7 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig
+from repro.config import RuntimeConfig, TrainingConfig
 from repro.core.detector import BpromDetector
 from repro.core.shadow import ShadowModelFactory
 from repro.eval.harness import ExperimentContext
@@ -172,9 +172,18 @@ def test_runtime_config_properties():
 # parallel shadow pools (same seeds, same models as sequential)
 # ---------------------------------------------------------------------------
 
-def test_parallel_shadow_pool_matches_sequential(micro_profile, tiny_dataset):
+@pytest.mark.parametrize("architecture, precision", [("mlp", "float64"), ("vit", "float32")])
+def test_parallel_shadow_pool_matches_sequential(
+    micro_profile, tiny_dataset, architecture, precision
+):
+    """A pool's bytes do not depend on the worker count, in either tier: the
+    artifact-store key of a pool does not name the worker count either."""
     factory = ShadowModelFactory(
-        profile=micro_profile, architecture="mlp", shadow_attack="badnets", seed=11
+        profile=micro_profile,
+        architecture=architecture,
+        shadow_attack="badnets",
+        seed=11,
+        precision=precision,
     )
     sequential = factory.build_pool(tiny_dataset, num_clean=2, num_backdoor=2)
     with WorkerPool(3, "thread") as pool:
@@ -182,8 +191,12 @@ def test_parallel_shadow_pool_matches_sequential(micro_profile, tiny_dataset):
     assert [s.is_backdoored for s in sequential] == [s.is_backdoored for s in parallel]
     assert [s.target_class for s in sequential] == [s.target_class for s in parallel]
     for left, right in zip(sequential, parallel):
-        for p, q in zip(left.classifier.model.parameters(), right.classifier.model.parameters()):
-            np.testing.assert_array_equal(p.data, q.data)
+        assert left.classifier.dtype == np.dtype(precision)
+        state_left, state_right = left.classifier.state_dict(), right.classifier.state_dict()
+        assert list(state_left) == list(state_right)
+        for key, value in state_left.items():
+            assert value.dtype == state_right[key].dtype, key
+            assert value.tobytes() == state_right[key].tobytes(), key
 
 
 def test_seed_normalisation_no_longer_collapses_generators():
@@ -430,6 +443,38 @@ def test_warm_store_skips_all_training(micro_profile, tmp_path, monkeypatch):
     probe_again = cold.suspicious_model("cifar10", None, 0, "mlp")
     assert fit_calls == [], "warm store must also cover the suspicious zoo"
     assert restored.inspect(probe_again.classifier).backdoor_score == baseline_score
+
+
+def test_float32_pool_matches_float64_pool_within_tolerance(
+    micro_profile, tiny_dataset
+):
+    """The two precision tiers of the *same* factory configuration must stay
+    interchangeable at the level the detector consumes them: near-identical
+    weights, identical shadow labels."""
+    profile = micro_profile.with_overrides(
+        classifier=TrainingConfig(epochs=2, batch_size=16, learning_rate=1e-2)
+    )
+    pools = {}
+    for precision in ("float64", "float32"):
+        pools[precision] = ShadowModelFactory(
+            profile=profile, architecture="resnet18", seed=11, precision=precision,
+        ).build_pool(tiny_dataset, num_clean=1, num_backdoor=1)
+    assert pools["float64"][0].classifier.dtype == np.float64
+    assert pools["float32"][0].classifier.dtype == np.float32
+    for a, b in zip(pools["float64"], pools["float32"]):
+        assert (a.is_backdoored, a.target_class, a.attack_name) == (
+            b.is_backdoored, b.target_class, b.attack_name,
+        )
+        assert a.clean_accuracy == pytest.approx(b.clean_accuracy, abs=5e-2)
+        assert a.classifier.history.losses == pytest.approx(
+            b.classifier.history.losses, abs=5e-2
+        )
+        state_a, state_b = a.classifier.state_dict(), b.classifier.state_dict()
+        assert set(state_a) == set(state_b)
+        for key in state_a:
+            np.testing.assert_allclose(
+                state_a[key], state_b[key], rtol=0.0, atol=5e-2, err_msg=key
+            )
 
 
 def test_context_shadow_pool_ignores_the_precision_variable(
