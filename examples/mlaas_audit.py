@@ -28,11 +28,12 @@ for the whole fleet:
   (``backend="process"``): pool workers hydrate each tenant's
   detector from the artifact store by registry key — never refitting — so
   the fleet uses every core while verdicts stay bit-identical to the
-  thread and serial paths;
+  thread backend and to a one-worker (inline) pool;
 * a :class:`~repro.runtime.gateway.TenantProvisioner` stands tenants up on
   **first touch**: when a brand-new model market shows up mid-stream, the
   gateway derives the detector spec from the submission's metadata and fits
-  it through the registry's single-flight lock — exactly once, fleet-wide;
+  it through the registry's single-flight store fetch — exactly once,
+  fleet-wide;
 * ``gateway.stats()`` closes the loop: per-tenant verdict counts, query
   budgets, cache hit-rate, amortised queries-per-verdict, worker-pool task
   counters, registry hit/fit counters and store statistics in one
@@ -213,7 +214,7 @@ def main() -> None:
             # by architecture *family*, and no transformer tenant was ever
             # registered — so the first mobilevit submission triggers the
             # provisioner: the spec derives from the metadata, the fit goes
-            # through the registry's single-flight lock (exactly once even
+            # through the store's single-flight lock (exactly once even
             # with racing gateways), and the verdict arrives as usual
             print("\n--- first-touch auto-provisioning (new transformer market) ---")
             vit = build_classifier(

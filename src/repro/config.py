@@ -218,7 +218,7 @@ def _env_int(name: str, default: Optional[int]) -> Optional[int]:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-_RUNTIME_BACKENDS = ("serial", "thread", "process")
+_RUNTIME_BACKENDS = ("thread", "process")
 #: accepted values for RuntimeConfig.precision / REPRO_PRECISION: the training
 #: dtype of shadow pools and detectors.  "float64" is the reference tier
 #: (bit-identical to every run before the precision split existed);
@@ -261,10 +261,10 @@ class RuntimeConfig:
     #: while a pool runs, OpenBLAS gets ``max(1, cores // workers)`` threads
     #: per worker, never more than it had (see :func:`~repro.runtime.executor.open_pool`)
     workers: int = 1
-    #: "thread" (shares memory, relies on numpy releasing the GIL),
+    #: "thread" (shares memory, relies on numpy releasing the GIL) or
     #: "process" (true parallelism, pays pickling overhead; a gateway's
     #: process workers hydrate detectors from the shared store, so its pool
-    #: requires a persistent store) or "serial"
+    #: requires a persistent store); with ``workers=1`` either runs inline
     backend: str = "thread"
     #: root directory of the persistent artifact store; ``None`` disables
     #: disk caching entirely
@@ -299,7 +299,7 @@ class RuntimeConfig:
 
     @property
     def parallel(self) -> bool:
-        return self.workers > 1 and self.backend != "serial"
+        return self.workers > 1
 
     def with_overrides(self, **kwargs) -> "RuntimeConfig":
         return replace(self, **kwargs)

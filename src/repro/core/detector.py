@@ -83,17 +83,11 @@ def _shadow_pool_fingerprint(pool: Sequence[ShadowModel]) -> str:
 
 def _inspect_task(
     detector: "BpromDetector",
-    target_eval: Optional[ImageDataset],
     item: Tuple[ImageClassifier, Optional[QueryFunction], Optional[str]],
 ) -> DetectionResult:
     """Module-level task wrapper so process-backend executors can pickle it."""
     suspicious, query_function, seed_key = item
-    return detector.inspect(
-        suspicious,
-        query_function=query_function,
-        target_eval=target_eval,
-        seed_key=seed_key,
-    )
+    return detector.inspect(suspicious, query_function=query_function, seed_key=seed_key)
 
 
 class BpromDetector:
@@ -372,7 +366,6 @@ class BpromDetector:
         self,
         suspicious: ImageClassifier,
         query_function: Optional[QueryFunction] = None,
-        target_eval: Optional[ImageDataset] = None,
         seed_key: Optional[str] = None,
     ) -> DetectionResult:
         """Decide whether ``suspicious`` carries a backdoor."""
@@ -388,25 +381,15 @@ class BpromDetector:
                 query_counter=counter,
             )
             span.set(queries=counter.images, calls=counter.calls)
-        eval_set = target_eval if target_eval is not None else self.meta_classifier.query_pool
+        query_pool = self.meta_classifier.query_pool
         with tracer.span("inspect.score"):
-            if target_eval is None and self.meta_classifier.query_pool is not None:
-                # the meta-features and the prompted-accuracy signal both read
-                # the prompted model over the same query pool — one batched
-                # query serves both (identical numbers to the two-pass path)
-                probabilities = prompted.predict_source_proba(
-                    self.meta_classifier.query_pool.images
-                )
-                score = self.meta_classifier.score_from_source_proba(probabilities)
-                predictions = np.argmax(
-                    prompted.mapping.map_probabilities(probabilities), axis=1
-                )
-                prompted_accuracy = float(np.mean(predictions == eval_set.labels))
-            else:
-                score = self.meta_classifier.backdoor_score(prompted)
-                prompted_accuracy = (
-                    prompted.evaluate(eval_set) if eval_set is not None else float("nan")
-                )
+            # the meta-features and the prompted-accuracy signal both read
+            # the prompted model over the query pool: one batched query
+            # serves both
+            probabilities = prompted.predict_source_proba(query_pool.images)
+            score = self.meta_classifier.score_from_source_proba(probabilities)
+            predictions = np.argmax(prompted.mapping.map_probabilities(probabilities), axis=1)
+            prompted_accuracy = float(np.mean(predictions == query_pool.labels))
         return DetectionResult(
             backdoor_score=score,
             is_backdoored=score >= self.threshold,
@@ -420,7 +403,6 @@ class BpromDetector:
         self,
         suspicious_models: Sequence[ImageClassifier],
         query_functions: Optional[Sequence[Optional[QueryFunction]]] = None,
-        target_eval: Optional[ImageDataset] = None,
         executor: Optional[WorkerPool] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
     ) -> List[DetectionResult]:
@@ -444,7 +426,7 @@ class BpromDetector:
         if keys is None:
             keys = [None] * len(suspicious_models)
         items = list(zip(suspicious_models, query_functions, keys))
-        task = partial(_inspect_task, self, target_eval)
+        task = partial(_inspect_task, self)
         if executor is not None:
             return executor.map(task, items)
         with WorkerPool.from_config(self.runtime, tasks=len(items)) as pool:

@@ -49,7 +49,7 @@ from repro.models.registry import build_classifier
 from repro.prompting.prompted import PromptedClassifier
 from repro.runtime import serialization as ser
 from repro.runtime.executor import WorkerPool
-from repro.runtime.store import MISS, ArtifactStore, state_fingerprint
+from repro.runtime.store import ArtifactStore, state_fingerprint
 from repro.utils.rng import derive_seed, new_rng
 
 
@@ -133,8 +133,8 @@ class ExperimentContext:
         """Build (or fetch from the artifact store) one suspicious model.
 
         Datasets, attacks and poisoning are cheap and deterministic given the
-        seed, so a store hit re-derives them and only skips the expensive
-        ``classifier.fit`` by loading the trained weights.
+        seed, so only the trained classifier and its metrics are stored: a
+        store hit re-derives the rest and skips ``classifier.fit``.
         """
         (
             dataset_name,
@@ -161,84 +161,62 @@ class ExperimentContext:
             attack_kwargs=sorted(attack_kwargs.items()),
             target_class=target_class,
         )
-        loaded = self.store.try_load(
-            "suspicious",
-            store_key,
-            lambda artifact: (ser.load_classifier(artifact), artifact.load_json("metrics")),
-        )
-        if loaded is MISS:
-            loaded = None
+        canonical = attack = poisoning = None
+        if attack_name is not None:
+            canonical = canonical_attack_name(attack_name)
+            attack = build_attack(
+                canonical, target_class=target_class, seed=seed + 2, **attack_kwargs
+            )
+            defaults = attack_defaults(canonical)
+            poisoning = attack.poison(
+                train,
+                poison_rate=poison_rate if poison_rate is not None else defaults.poison_rate,
+                cover_rate=cover_rate if cover_rate is not None else defaults.cover_rate,
+                rng=seed + 3,
+            )
 
-        def make_classifier() -> ImageClassifier:
-            return build_classifier(
+        def build() -> Tuple[ImageClassifier, dict]:
+            classifier = build_classifier(
                 architecture,
                 train.num_classes,
                 image_size=self.profile.image_size,
                 rng=seed,
                 name=name,
             )
-
-        if attack_name is None:
-            if loaded is not None:
-                classifier, metrics = loaded
-                return SuspiciousModel(classifier, False, clean_accuracy=metrics["clean_accuracy"])
-            classifier = make_classifier()
-            classifier.fit(train, self.profile.classifier, rng=seed + 1)
-            entry = SuspiciousModel(classifier, False, clean_accuracy=classifier.evaluate(test))
-            if self.store.enabled:
-                with self.store.open_write("suspicious", store_key) as artifact:
-                    ser.save_classifier(artifact, classifier)
-                    artifact.save_json("metrics", {"clean_accuracy": entry.clean_accuracy})
-            return entry
-
-        canonical = canonical_attack_name(attack_name)
-        attack = build_attack(
-            canonical, target_class=target_class, seed=seed + 2, **attack_kwargs
-        )
-        defaults = attack_defaults(canonical)
-        poisoning = attack.poison(
-            train,
-            poison_rate=poison_rate if poison_rate is not None else defaults.poison_rate,
-            cover_rate=cover_rate if cover_rate is not None else defaults.cover_rate,
-            rng=seed + 3,
-        )
-        if loaded is not None:
-            classifier, metrics = loaded
-            return SuspiciousModel(
-                classifier,
-                True,
-                attack=attack,
-                attack_name=canonical,
-                poisoning=poisoning,
-                clean_accuracy=metrics["clean_accuracy"],
-                attack_success_rate=metrics["attack_success_rate"],
+            if attack is None:
+                classifier.fit(train, self.profile.classifier, rng=seed + 1)
+                return classifier, {"clean_accuracy": classifier.evaluate(test)}
+            classifier.fit(poisoning.dataset, self.profile.classifier, rng=seed + 4)
+            triggered = attack.triggered_test_set(test)
+            asr = classifier.evaluate_attack_success(
+                triggered.images, attack.target_class, test.labels
             )
-        classifier = make_classifier()
-        classifier.fit(poisoning.dataset, self.profile.classifier, rng=seed + 4)
-        triggered = attack.triggered_test_set(test)
-        asr = classifier.evaluate_attack_success(
-            triggered.images, attack.target_class, test.labels
+            return classifier, {
+                "clean_accuracy": classifier.evaluate(test),
+                "attack_success_rate": asr,
+            }
+
+        def save(artifact, value) -> None:
+            classifier, metrics = value
+            ser.save_classifier(artifact, classifier)
+            artifact.save_json("metrics", metrics)
+
+        classifier, metrics = self.store.fetch(
+            "suspicious",
+            store_key,
+            build,
+            save=save,
+            load=lambda artifact: (ser.load_classifier(artifact), artifact.load_json("metrics")),
         )
-        entry = SuspiciousModel(
+        return SuspiciousModel(
             classifier,
-            True,
+            attack is not None,
             attack=attack,
             attack_name=canonical,
             poisoning=poisoning,
-            clean_accuracy=classifier.evaluate(test),
-            attack_success_rate=asr,
+            clean_accuracy=metrics["clean_accuracy"],
+            attack_success_rate=metrics.get("attack_success_rate", float("nan")),
         )
-        if self.store.enabled:
-            with self.store.open_write("suspicious", store_key) as artifact:
-                ser.save_classifier(artifact, classifier)
-                artifact.save_json(
-                    "metrics",
-                    {
-                        "clean_accuracy": entry.clean_accuracy,
-                        "attack_success_rate": entry.attack_success_rate,
-                    },
-                )
-        return entry
 
     def suspicious_model(
         self,

@@ -22,7 +22,6 @@ class _AddPositionalEmbedding(Module):
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._batch = x.shape[0]
         return x + self.embedding.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -5,17 +5,17 @@ The runtime layer turns the BPROM pipeline into a production-shaped system:
 * :class:`~repro.runtime.store.ArtifactStore` — a content-addressed,
   disk-backed cache for trained models, prompts and fitted detectors, keyed
   on profile/seed/config hashes so artefacts survive process restarts.  Its
-  ``fetch`` memoises each of ``BpromDetector.fit``'s cacheable stages
-  (shadow pool, prompted shadows).
+  ``fetch`` is the one load-or-build path: fit stages, fitted detectors,
+  experiment pools and cached verdicts are each built once across the
+  processes sharing a store (advisory lock files, stale takeover).
 * :class:`~repro.runtime.executor.WorkerPool` — the one pool class:
   deterministic ordered ``map`` for the embarrassingly-parallel stages
   (shadow training, prompting, suspicious-model inspection) and counted
-  ``submit`` for the gateway's audits, over thread, process or serial
-  backends.
+  ``submit`` for the gateway's audits, over thread or process backends
+  (inline with one worker).
 * :class:`~repro.runtime.registry.DetectorRegistry` — a store-backed
-  catalogue of fitted BPROM detectors with cross-process single-flight
-  fitting (advisory lock files, stale takeover) and an in-memory map of
-  loaded detectors.
+  catalogue of fitted BPROM detectors, fitted through the store's ``fetch``,
+  with an in-memory map of loaded detectors.
 * :class:`~repro.runtime.gateway.AuditGateway` — the one serving path:
   routes a mixed model stream to per-tenant detectors, serves warm verdicts
   from the cache, runs each cold audit as one task on the shared worker pool
@@ -25,7 +25,7 @@ The runtime layer turns the BPROM pipeline into a production-shaped system:
 * :class:`~repro.runtime.verdict_cache.VerdictCache` — fingerprint-keyed
   memoisation of audit verdicts: a memory tier over store persistence,
   refit invalidation through the detector digest in the key and in-flight
-  dedup (futures in-process, advisory locks across processes), amortising
+  dedup (futures in-process, the store's ``fetch`` across processes), amortising
   the query budget over redundant fleet traffic.
 * :mod:`~repro.runtime.workers` — the gateway's pool tasks; process
   workers hydrate detectors from the shared store through pickle-cheap

@@ -182,8 +182,7 @@ class WorkerPool:
     the cost of pickling tasks and results, so every task must be a
     module-level callable with picklable arguments (a gateway's process
     tenants submit :class:`~repro.runtime.workers.DetectorRef`-based tasks for
-    exactly this reason).  ``workers=1`` or ``backend="serial"`` runs every
-    task inline.
+    exactly this reason).  ``workers=1`` runs every task inline.
 
     The executor comes from :func:`open_pool` on the first task that needs
     it and lives until :meth:`close`, so OpenBLAS stays capped at
@@ -202,7 +201,7 @@ class WorkerPool:
     def __init__(self, workers: int = 1, backend: str = "thread") -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in ("serial", "thread", "process"):
+        if backend not in ("thread", "process"):
             raise ValueError(f"unknown worker-pool backend {backend!r}")
         self.workers = int(workers)
         self.backend = backend
@@ -218,13 +217,13 @@ class WorkerPool:
         describes (inline without one), never wider than ``tasks``, so the
         BLAS cap counts only workers that get work."""
         if runtime is None:
-            return cls(1, "serial")
+            return cls(1)
         return cls(max(1, min(runtime.workers, tasks)), runtime.backend)
 
     @property
     def parallel(self) -> bool:
         """Whether tasks actually run concurrently."""
-        return self.backend != "serial" and self.workers > 1
+        return self.workers > 1
 
     @property
     def started(self) -> bool:

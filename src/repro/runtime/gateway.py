@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import warnings
-from collections import deque
 from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
@@ -131,7 +130,7 @@ class TenantProvisioner:
     ``template``) and registers the tenant on the spot — the fit
     goes through :meth:`DetectorRegistry.get_or_fit`, so N racing gateways
     (threads or whole processes over one store) provisioning the same spec
-    still perform exactly one fit under the registry's single-flight lock.
+    still perform exactly one fit under the store's single-flight lock.
     """
 
     #: the suspicious task's reserved clean data every provisioned tenant
@@ -268,13 +267,13 @@ class AuditGateway:
         if self.worker_pool.backend == "process":
             # tasks ship this store address instead of the detector object;
             # workers hydrate by registry key (register_tenant just ensured
-            # the artifact exists) under a serial single-worker runtime so
+            # the artifact exists) under a single-worker runtime so
             # hydration never opens a nested pool
             detector = DetectorRef(
                 key_hash=entry.key_hash,
                 key=entry.key,
                 spec=spec,
-                runtime=self.runtime.with_overrides(workers=1, backend="serial"),
+                runtime=self.runtime.with_overrides(workers=1),
             )
         tenant = Tenant(
             tenant_id=tenant_id,
@@ -364,7 +363,7 @@ class AuditGateway:
         spec = self.provisioner.spec_for(metadata)
         tenant_id = self.provisioner.tenant_id_for(spec)
         # one provisioning at a time in this gateway; racing *gateways* are
-        # serialised further down by the registry's advisory fit lock (they
+        # serialised further down by the fit's store lock (they
         # each register their own tenant object, but fit at most once)
         with self._provision_lock:
             with self._lock:
@@ -438,21 +437,28 @@ class AuditGateway:
         else:
             self.verdict_cache.complete(token, future.result())
 
-    def _submit(
+    def submit(
         self,
         key: str,
         model: ImageClassifier,
-        metadata: Optional[Dict[str, Any]],
-        query_function: Optional[QueryFunction],
-        blocking: bool,
-    ) -> Optional[AuditJob]:
-        """The one serving path: route → cache lookup/follow → budget slot →
-        cache claim → one pool task → harvest.
+        metadata: Optional[Dict[str, Any]] = None,
+        query_function: Optional[QueryFunction] = None,
+    ) -> AuditJob:
+        """Route one submission to its tenant; blocks at the shared budget.
 
-        A warm hit or a dedup follower returns a completed or chained job
-        without taking a slot and never reaches the pool; only a cold leader
-        takes a slot and becomes exactly one pool task.  Returns ``None``
-        when non-blocking and no budget slot is free.
+        The one serving path: route → cache lookup/follow → budget slot →
+        cache claim → one pool task → harvest.  A warm hit or a dedup
+        follower returns a completed or chained job without taking a slot
+        and never reaches the pool; only a cold leader blocks for a slot and
+        becomes exactly one pool task.
+
+        ``metadata`` defaults to routing by the model's recorded
+        architecture.  The returned job resolves to a plain
+        :class:`~repro.runtime.workers.AuditVerdict`; harvest through
+        :meth:`as_completed`/:meth:`stream` to get tenant-annotated
+        :class:`GatewayVerdict` rows and per-tenant accounting.
+        ``query_function``, when given, is the black-box endpoint the
+        inspection queries.
         """
         cache = self.verdict_cache
         meta = self._begin_trace()
@@ -472,12 +478,7 @@ class AuditGateway:
                 shared = cache.follow(cache_key)
                 if shared is not None:
                     return self._book(tenant, key, self._chained(shared, key), meta)
-            if not self._slots.acquire(blocking=blocking):
-                # declined: the entry is re-queued and re-submitted later with
-                # fresh coordinates; this attempt's route/lookup spans stay in
-                # the trace as roots without an audit span (the work really
-                # did run twice)
-                return None
+            self._slots.acquire()
             token = None
             if cache is not None:
                 claim = cache.begin(cache_key, key)
@@ -513,29 +514,6 @@ class AuditGateway:
         if token is not None:
             future.add_done_callback(lambda done: self._finish_claim(token, done))
         return job
-
-    def submit(
-        self,
-        key: str,
-        model: ImageClassifier,
-        metadata: Optional[Dict[str, Any]] = None,
-        query_function: Optional[QueryFunction] = None,
-    ) -> AuditJob:
-        """Route one submission to its tenant; blocks at the shared budget.
-
-        ``metadata`` defaults to routing by the model's recorded
-        architecture.  The returned job resolves to a plain
-        :class:`~repro.runtime.workers.AuditVerdict`; harvest through
-        :meth:`as_completed`/:meth:`stream` to get tenant-annotated
-        :class:`GatewayVerdict` rows and per-tenant accounting.
-
-        With a :class:`~repro.runtime.verdict_cache.VerdictCache` configured,
-        a warm submission returns an already-completed job without blocking
-        at the budget, and concurrent submissions of one model fingerprint
-        share a single inspection.  ``query_function``, when given, is the
-        black-box endpoint the inspection queries.
-        """
-        return self._submit(key, model, metadata, query_function, blocking=True)
 
     # -- harvesting ------------------------------------------------------------
     @property
@@ -638,6 +616,15 @@ class AuditGateway:
         if shipped:
             verdict.spans = []  # consumed; retained verdicts stay span-free
 
+    def _finished(self) -> Iterator[GatewayVerdict]:
+        """Harvest the jobs that have already finished, in submission order."""
+        with self._lock:
+            done = [future for future in self._pending if future.done()]
+        for future in done:
+            verdict = self._harvest(future)
+            if verdict is not None:
+                yield verdict
+
     def as_completed(self) -> Iterator[GatewayVerdict]:
         """Merge every tenant's submitted jobs into one completion-ordered
         stream of tenant-annotated verdicts; ends when the queue drains."""
@@ -646,13 +633,10 @@ class AuditGateway:
                 pending = list(self._pending)
             if not pending:
                 return
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            # preserve submission order among simultaneously-done jobs so the
-            # serial backend yields deterministically
-            for future in [f for f in pending if f in done]:
-                verdict = self._harvest(future)
-                if verdict is not None:
-                    yield verdict
+            wait(pending, return_when=FIRST_COMPLETED)
+            # submission order among simultaneously-done jobs, so an inline
+            # pool yields deterministically
+            yield from self._finished()
 
     # -- one-shot streaming ----------------------------------------------------
     @staticmethod
@@ -671,79 +655,25 @@ class AuditGateway:
         """Screen a mixed catalogue, yielding verdicts as models finish.
 
         ``submissions`` is an iterable of ``(key, model)`` or
-        ``(key, model, metadata)``.  At most ``max_in_flight`` jobs are
-        outstanding across all tenants; slots freed by finishing jobs are
-        refilled before each yield, so the workers stay fed while the
-        consumer processes verdicts.  Verdicts are bit-identical to
-        inspecting each entry with its tenant's detector under the same key;
-        only arrival order differs.  ``query_functions`` maps a key to the
-        black-box endpoint its inspection queries.
+        ``(key, model, metadata)``, pulled one entry at a time: each entry is
+        :meth:`submit`-ted (blocking at the shared ``max_in_flight`` budget),
+        then every job finished by then is yielded, so the workers are fed
+        before the consumer sees a verdict; the rest drain through
+        :meth:`as_completed`.  On an inline pool every job finishes at submit,
+        so the stream yields in submission order.  Verdicts are bit-identical
+        to inspecting each entry with its tenant's detector under the same
+        key; only arrival order differs.  ``query_functions`` maps a key to
+        the black-box endpoint its inspection queries.  A submission that
+        raises (say, an unroutable entry) ends the stream; every verdict
+        harvested before it has been yielded, and jobs still running stay
+        harvestable through :meth:`as_completed`.
         """
-        # the iterable is consumed lazily — at most one entry is pulled ahead
-        # of the available budget, so a generator that materialises each
-        # model on demand streams in constant memory
-        iterator = iter(submissions)
-        lookahead: deque = deque()  # pulled but not yet submitted (no slot)
-        exhausted = False
-
-        def pull():
-            nonlocal exhausted
-            if lookahead:
-                return lookahead.popleft()
-            if exhausted:
-                return None
-            try:
-                return self._normalize(next(iterator))
-            except StopIteration:
-                exhausted = True
-                return None
-
-        def any_done() -> bool:
-            with self._lock:
-                return any(future.done() for future in self._pending)
-
-        def top_up() -> None:
-            # stop early once results are waiting: on an inline (serial)
-            # executor every submission completes synchronously, and draining
-            # between submissions keeps time-to-first-verdict at one audit
-            while not any_done():
-                entry = pull()
-                if entry is None:
-                    return
-                key, model, metadata = entry
-                query_function = (
-                    query_functions.get(key) if query_functions is not None else None
-                )
-                # warm hits and dedup followers need no budget slot; only a
-                # cold leader does, and declining (no slot) re-queues
-                if self._submit(key, model, metadata, query_function, blocking=False) is None:
-                    lookahead.append(entry)
-                    return
-
-        while True:
-            top_up()
-            with self._lock:
-                pending = list(self._pending)
-            if not pending:
-                if lookahead or not exhausted:
-                    continue
-                return
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in [f for f in pending if f in done]:
-                verdict = self._harvest(future)
-                # refill the freed slot before yielding so the workers stay
-                # fed while the consumer processes this verdict — but a
-                # failing submission (e.g. an unroutable queued entry) must
-                # not swallow the verdict already harvested and counted
-                refill_error: Optional[BaseException] = None
-                try:
-                    top_up()
-                except BaseException as exc:
-                    refill_error = exc
-                if verdict is not None:
-                    yield verdict
-                if refill_error is not None:
-                    raise refill_error
+        for submission in submissions:
+            key, model, metadata = self._normalize(submission)
+            query_function = query_functions.get(key) if query_functions is not None else None
+            self.submit(key, model, metadata, query_function)
+            yield from self._finished()
+        yield from self.as_completed()
 
     # -- dashboard -------------------------------------------------------------
     def _store_stats(self) -> Dict[str, Dict[str, int]]:

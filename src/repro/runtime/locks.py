@@ -1,24 +1,25 @@
 """Advisory file locks for cross-process coordination on the artifact store.
 
-The registry's single-flight fit (:class:`repro.runtime.registry.
-DetectorRegistry`) and the verdict cache's cross-process single flight
-(:class:`repro.runtime.verdict_cache.VerdictCache`) both need to exclude
-concurrent workers that share nothing but a filesystem.  An
-:class:`AdvisoryLock` is a lock *file* created with ``O_CREAT | O_EXCL`` — the
-only atomic test-and-set POSIX gives us without fcntl ranges (which do not
-survive NFS consistently) — holding a small JSON payload (pid, host, creation
-time, random token) for debuggability and safe release.
+:meth:`repro.runtime.store.ArtifactStore.fetch` takes one on every miss it
+builds into a store, so workers that share nothing but a filesystem build each
+artifact once (fitted detectors, fit stages, experiment pools and cached
+verdicts alike).  An :class:`AdvisoryLock` is a lock *file* created with
+``O_CREAT | O_EXCL`` — the only atomic test-and-set POSIX gives us without
+fcntl ranges (which do not survive NFS consistently) — holding a small JSON
+payload (pid, host, creation time, random token) for debuggability and safe
+release.
 
-Crash recovery is time-based: a lock file older than ``stale_seconds`` is
-presumed abandoned and taken over.  Takeover renames the stale file to a
-unique name before deleting it, so two waiters that both observe staleness
-cannot each delete a *different* incarnation of the lock — the second rename
-fails and that waiter goes back to polling.  There remains a tiny window in
-which a waiter can steal a lock that was released-and-reacquired between its
-staleness check and its rename; keep ``stale_seconds`` much larger than any
-legitimate hold time (the default is one hour, against fits that take
-minutes).  Long-running holders can call :meth:`refresh` to re-stamp the
-file's mtime and push staleness out.
+A live holder never goes stale: every lock a process holds is re-stamped
+(its file's mtime) every ``stale_seconds / 4`` by that process's one daemon
+refresher thread, however long the hold lasts, so only a lock whose holder
+died (or stopped running) ages.  Crash recovery is time-based: a lock file
+older than ``stale_seconds`` is presumed abandoned and taken over.  Takeover
+renames the stale file to a unique name before deleting it, so two waiters
+that both observe staleness cannot each delete a *different* incarnation of
+the lock — the second rename fails and that waiter goes back to polling.
+There remains a tiny window in which a waiter can steal a lock that was
+released-and-reacquired between its staleness check and its rename; it opens
+only while a lock on that path is stale, that is, after a holder died.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from __future__ import annotations
 import json
 import os
 import socket
+import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 PathLike = Union[str, Path]
 
@@ -43,19 +45,84 @@ class LockTimeout(TimeoutError):
     """Raised when a lock could not be acquired within ``wait_seconds``."""
 
 
+class _Refresher:
+    """The process's one daemon thread that re-stamps every held lock.
+
+    A lock is added at acquire and discarded at release, and it is re-stamped
+    once ``stale_seconds / 4`` has passed since its last stamp.  Stamps run
+    under the condition that :meth:`discard` takes, so once a release has
+    discarded its lock, the refresher never touches that file again.  The
+    thread starts with the first held lock and never exits, so a process runs
+    at most one, however many locks it takes.  It wakes when the next held
+    lock falls due, and at least every ``DEFAULT_STALE_SECONDS / 4``, so a
+    lock with the default period is added without waking it; only a lock
+    that falls due sooner does.
+    """
+
+    def __init__(self) -> None:
+        self._wake = threading.Condition()
+        #: held locks by identity; a dict, not a set, so the stamping order
+        #: is the acquisition order
+        self._held: Dict[int, "AdvisoryLock"] = {}
+        self._thread: Optional[threading.Thread] = None
+        #: monotonic time at which the thread next wakes by itself
+        self._wakes_at = 0.0
+
+    def add(self, lock: "AdvisoryLock") -> None:
+        with self._wake:
+            self._held[id(lock)] = lock
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="advisory-lock-refresher", daemon=True
+                )
+                self._thread.start()
+            elif lock._due() < self._wakes_at:
+                self._wake.notify()
+
+    def discard(self, lock: "AdvisoryLock") -> None:
+        with self._wake:
+            self._held.pop(id(lock), None)
+
+    def _run(self) -> None:
+        with self._wake:
+            while True:
+                now = time.monotonic()
+                wakes_at = now + DEFAULT_STALE_SECONDS / 4.0
+                for lock in self._held.values():
+                    if lock._due() <= now:
+                        lock._stamp()
+                    wakes_at = min(wakes_at, lock._due())
+                self._wakes_at = wakes_at
+                self._wake.wait(wakes_at - now)
+
+    def after_fork(self) -> None:
+        # a forked child holds none of its parent's locks and runs none of
+        # its threads, and may inherit the condition's lock mid-stamp
+        self._wake = threading.Condition()
+        self._held = {}
+        self._thread = None
+        self._wakes_at = 0.0
+
+
+_REFRESHER = _Refresher()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_REFRESHER.after_fork)
+
+
 class AdvisoryLock:
     """A polling advisory file lock with stale-lock takeover.
 
-    Usage::
+    Usage (as :meth:`~repro.runtime.store.ArtifactStore.fetch` does)::
 
-        with AdvisoryLock(store_root / ".locks" / "detector-abc.lock"):
-            ...  # at most one process fits this detector at a time
+        with AdvisoryLock(store.lock_path(kind, key)):
+            ...  # at most one process builds this artifact at a time
 
     ``acquire`` blocks (polling) until the lock file could be created, a stale
     holder was evicted, or ``wait_seconds`` elapsed (:class:`LockTimeout`).
     ``release`` deletes the file only when the payload still carries this
-    lock's token, so releasing after a (mis-tuned) stale takeover never
-    deletes another process's lock.
+    lock's token, so releasing after a stale takeover (the holder stalled for
+    longer than ``stale_seconds``) never deletes another process's lock.
+    While held, the lock is kept fresh by the process's refresher thread.
     """
 
     def __init__(
@@ -75,6 +142,8 @@ class AdvisoryLock:
         self.poll_seconds = float(poll_seconds)
         self._token = uuid.uuid4().hex
         self._held = False
+        #: monotonic time of the last stamp of the lock file's mtime
+        self._stamped = 0.0
 
     # -- introspection --------------------------------------------------------
     @property
@@ -117,6 +186,8 @@ class AdvisoryLock:
         finally:
             os.close(descriptor)
         self._held = True
+        self._stamped = time.monotonic()
+        _REFRESHER.add(self)
         return True
 
     def _evict_stale(self) -> None:
@@ -157,18 +228,29 @@ class AdvisoryLock:
                 )
             time.sleep(self.poll_seconds)
 
-    def refresh(self) -> None:
-        """Re-stamp the lock file's mtime so a long hold is not seen as stale."""
-        if not self._held:
-            raise RuntimeError(f"cannot refresh {self.path}: lock not held")
+    def _due(self) -> float:
+        """Monotonic time at which the refresher next re-stamps this lock."""
+        return self._stamped + self.stale_seconds / 4.0
+
+    def _stamp(self) -> None:
+        """Re-stamp the lock file's mtime; never raises (the refresher calls it)."""
+        self._stamped = time.monotonic()
         try:
             os.utime(self.path)
         except OSError:
             pass  # evicted from under us; release() will notice the token is gone
 
+    def refresh(self) -> None:
+        """Re-stamp the lock file's mtime now, so a long hold is not seen as
+        stale (the refresher does this every ``stale_seconds / 4``)."""
+        if not self._held:
+            raise RuntimeError(f"cannot refresh {self.path}: lock not held")
+        self._stamp()
+
     def release(self) -> None:
         if not self._held:
             return
+        _REFRESHER.discard(self)
         self._held = False
         holder = self.holder()
         if holder is None or holder.get("token") != self._token:

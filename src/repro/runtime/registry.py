@@ -10,14 +10,14 @@ most once fleet-wide.  The registry provides exactly that:
   the fingerprints of the datasets it is fitted on; ``registry_key`` turns
   that into an artifact-store key, so any knob that changes the fitted
   detector changes its address;
-* **cross-process single-flight** — ``get_or_fit`` first consults the
-  artifact store for a previously fitted detector (zero training on a warm
-  store, in *any* process), and otherwise takes an advisory lock file in the
-  store (:mod:`repro.runtime.locks`) so concurrent cold-store callers fit
-  exactly once: the losers wait, then load the winner's artifact.  Crashed
-  fitters are recovered by stale-lock takeover after the lock's
-  ``stale_seconds`` (one hour; a live fitter's heartbeat keeps refreshing
-  its lock);
+* **cross-process single-flight** — ``get_or_fit`` loads or fits through
+  :meth:`~repro.runtime.store.ArtifactStore.fetch`: a warm store serves a
+  previously fitted detector (zero training, in *any* process), and on a
+  cold one the store's advisory lock lets concurrent callers fit exactly
+  once — the losers wait, then load the winner's artifact.  The fit stages
+  inside a fit are fetched the same way, under their own keys' locks, taken
+  while the detector's is held.  Without a store, only the in-memory map
+  shares a fit;
 * **residency** — loaded detectors stay in an in-memory map for the
   registry's lifetime, so repeat requests in one process never touch the
   store.
@@ -31,7 +31,6 @@ black-box query seam, so it stays a library class in
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from threading import RLock
 from typing import Any, Dict, Optional
@@ -49,8 +48,7 @@ from repro.datasets.base import ImageDataset
 from repro.models.registry import architecture_family
 from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.trace import get_tracer
-from repro.runtime.locks import AdvisoryLock
-from repro.runtime.store import MISS, Artifact, ArtifactStore, dataset_fingerprint, key_hash
+from repro.runtime.store import Artifact, ArtifactStore, dataset_fingerprint, key_hash
 
 #: artifact kind under which fitted detectors are stored
 DETECTOR_KIND = "fitted-detector"
@@ -176,9 +174,10 @@ class DetectorRegistry:
                                     reserved_clean, target_train, target_test)
         entry.detector.inspect(suspicious_model)
 
-    Thread-safe: the in-memory map is guarded by a lock, and the store-level
-    single-flight uses advisory lock files, so concurrent callers — threads
-    here or whole other processes — fit each detector at most once fleet-wide.
+    Thread-safe: the in-memory map is guarded by a lock, and the store's
+    ``fetch`` single-flights each fit, so concurrent callers — threads here
+    or whole other processes sharing the store — fit each detector at most
+    once fleet-wide.
     """
 
     #: counters live in a mergeable metrics registry (attribute API and
@@ -262,11 +261,11 @@ class DetectorRegistry:
         """The fitted detector for ``spec`` on these datasets, fitting at most
         once fleet-wide.
 
-        Lookup order: in-memory map, then the artifact store (a warm store
-        serves a previously fitted detector with **zero training**, whichever
-        process wrote it), then a single-flight fit under an advisory lock
-        file — of N concurrent cold-store callers exactly one trains; the
-        rest block on the lock and load the winner's artifact.
+        Lookup order: in-memory map, then the artifact store's ``fetch``
+        (a warm store serves a previously fitted detector with **zero
+        training**, whichever process wrote it; of N concurrent cold-store
+        callers exactly one fits, the rest wait on the key's lock and load
+        the winner's artifact).
         """
         with get_tracer().span("registry.get_or_fit") as span:
             entry = self._get_or_fit_impl(spec, reserved_clean, target_train, target_test)
@@ -285,65 +284,31 @@ class DetectorRegistry:
         entry = self._memory_hit(digest)
         if entry is not None:
             return entry
+        fitted = []
 
-        def try_store() -> Optional[RegistryEntry]:
-            detector = self.store.try_load(
-                DETECTOR_KIND, key, lambda artifact: load_detector_artifact(artifact, spec, self.runtime)
-            )
-            if detector is MISS:
-                return None
-            with self._lock:
-                self.store_hits += 1
-            return RegistryEntry(
-                key_hash=digest, spec=spec, detector=detector, source="store", key=key
-            )
+        def fit() -> BpromDetector:
+            fitted.append(True)
+            return self._fit(spec, reserved_clean, target_train, target_test)
 
-        if self.store.enabled:
-            entry = try_store()
-            if entry is not None:
-                self._insert(entry)
-                return entry
-            # cold store: single-flight the fit across processes.  Everything
-            # under the lock re-checks the store first — the previous holder
-            # may have fitted exactly this detector while we waited.
-            lock = AdvisoryLock(self.store.lock_path(DETECTOR_KIND, key))
-            with lock:
-                entry = try_store()
-                if entry is None:
-                    # a fit can outlast the stale threshold; a background
-                    # heartbeat re-stamps the lock so waiters on other
-                    # processes don't evict a *live* holder and refit
-                    stop_refresh = threading.Event()
-
-                    def heartbeat() -> None:
-                        # four refreshes per stale threshold: a live fitter's
-                        # lock never ages past it
-                        while not stop_refresh.wait(lock.stale_seconds / 4.0):
-                            lock.refresh()
-
-                    refresher = threading.Thread(target=heartbeat, daemon=True)
-                    refresher.start()
-                    try:
-                        detector = self._fit(spec, reserved_clean, target_train, target_test)
-                    finally:
-                        stop_refresh.set()
-                        refresher.join()
-                    with self._lock:
-                        self.fits += 1
-                    with self.store.open_write(DETECTOR_KIND, key) as artifact:
-                        self._save_detector(artifact, spec, detector)
-                    entry = RegistryEntry(
-                        key_hash=digest, spec=spec, detector=detector, source="fit", key=key
-                    )
-        else:
-            # no shared store: fall back to an in-process fit (the in-memory
-            # map still deduplicates repeat requests within this process)
-            detector = self._fit(spec, reserved_clean, target_train, target_test)
-            with self._lock:
+        detector = self.store.fetch(
+            DETECTOR_KIND,
+            key,
+            fit,
+            save=lambda artifact, detector: self._save_detector(artifact, spec, detector),
+            load=lambda artifact: load_detector_artifact(artifact, spec, self.runtime),
+        )
+        with self._lock:
+            if fitted:
                 self.fits += 1
-            entry = RegistryEntry(
-                key_hash=digest, spec=spec, detector=detector, source="fit", key=key
-            )
+            else:
+                self.store_hits += 1
+        entry = RegistryEntry(
+            key_hash=digest,
+            spec=spec,
+            detector=detector,
+            source="fit" if fitted else "store",
+            key=key,
+        )
         self._insert(entry)
         return entry
 

@@ -7,6 +7,8 @@ their canonical JSON form, so any change to a parameter that affects an
 artefact changes its address.  Writes go to a temporary directory that is
 atomically renamed into place, so a crashed or concurrent writer can never
 leave a half-written artifact that a reader would mistake for a complete one.
+A miss that builds holds the key's advisory lock under ``<root>/.locks/``, so
+processes sharing the root build each artifact once.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from repro.config import RuntimeConfig
 from repro.datasets.base import ImageDataset
 from repro.obs.metrics import MetricsRegistry, counter_property
+from repro.runtime.locks import AdvisoryLock
 
 PathLike = Union[str, Path]
 
@@ -129,8 +132,11 @@ MISS = _MISS
 class ArtifactStore:
     """Persistent cache mapping ``(kind, key payload)`` to artifact directories.
 
-    A store without a root is disabled and behaves like an always-empty
-    cache: ``contains`` is ``False`` and ``fetch`` always builds.
+    :meth:`fetch` is how every stored artifact gets built; :meth:`try_load`
+    serves the readers that must never build (a pool worker hydrating a
+    detector, a verdict-cache lookup).  A store without a root is disabled
+    and behaves like an always-empty cache: ``contains`` is ``False`` and
+    ``fetch`` always builds.
     """
 
     #: hit/miss tallies live in the mergeable metrics registry so the
@@ -163,12 +169,10 @@ class ArtifactStore:
         return (self.directory_for(kind, key) / f"{_MANIFEST}.json").exists()
 
     def lock_path(self, kind: str, key: Any) -> Path:
-        """Advisory-lock file coordinating cross-process work on one key.
+        """Advisory-lock file :meth:`fetch` holds while it builds one key.
 
         Lives beside the artifacts (under ``<root>/.locks/``), so every
         process that shares the store root agrees on the lock's location.
-        The store only names the path — callers wrap it in
-        :class:`repro.runtime.locks.AdvisoryLock`.
         """
         if self.root is None:
             raise RuntimeError("artifact store has no root directory")
@@ -249,25 +253,37 @@ class ArtifactStore:
         kind: str,
         key: Any,
         build: Callable[[], Any],
-        save: Optional[Callable[[Artifact, Any], None]] = None,
-        load: Optional[Callable[[Artifact], Any]] = None,
+        save: Callable[[Artifact, Any], None],
+        load: Callable[[Artifact], Any],
     ) -> Any:
-        """Load the artifact if present, otherwise build (and persist) it.
+        """Load the artifact if present, otherwise build and store it: the
+        runtime's one load-or-build path.
 
         ``save``/``load`` translate between the in-memory value and the
-        artifact directory; omitting either makes the corresponding direction
-        a no-op (the value is built but not persisted / never loaded).
+        artifact directory.  On a miss with a root, the key's
+        :class:`~repro.runtime.locks.AdvisoryLock` single-flights the build
+        across every thread and process sharing the root: under the lock the
+        store is checked again (a holder may have stored the value while this
+        caller waited; the re-check counts its own hit or miss), and only a
+        caller that still misses builds and saves.  A build that raises
+        stores nothing and releases the lock, so the next fetch builds.
+        Without a root every fetch builds and nothing is saved.
+
+        Locks nest in one order: a build or load may fetch other keys (a
+        detector's fit fetches its stages) but never its own key, which would
+        wait on itself until :class:`~repro.runtime.locks.LockTimeout`.
         """
-        if load is not None:
+        value = self.try_load(kind, key, load)
+        if value is not _MISS:
+            return value
+        if not self.enabled:
+            return build()
+        with AdvisoryLock(self.lock_path(kind, key)):
             value = self.try_load(kind, key, load)
-            if value is not _MISS:
-                return value
-        else:
-            self.misses += 1
-        value = build()
-        if save is not None and self.enabled:
-            with self.open_write(kind, key) as artifact:
-                save(artifact, value)
+            if value is _MISS:
+                value = build()
+                with self.open_write(kind, key) as artifact:
+                    save(artifact, value)
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -28,8 +28,8 @@ The cache is two-tier: an in-memory map from key digest to verdict over
 persistence in the :class:`~repro.runtime.store.ArtifactStore`; a store hit
 is promoted into memory.  Concurrent submissions of one fingerprint are
 **single-flighted**: in-process via a shared future
-(:meth:`VerdictCache.begin`), cross-process via the store's
-:class:`~repro.runtime.locks.AdvisoryLock` protocol
+(:meth:`VerdictCache.begin`), cross-process through the store's
+:meth:`~repro.runtime.store.ArtifactStore.fetch`
 (:meth:`VerdictCache.compute_through_store`) — two threads *and* two processes
 racing on the same model perform exactly one inspection.
 
@@ -55,8 +55,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.config import RuntimeConfig
 from repro.obs.metrics import MetricsRegistry, counter_property
-from repro.runtime.locks import AdvisoryLock
 from repro.runtime.store import (
+    Artifact,
     ArtifactStore,
     MISS,
     canonical_key,
@@ -190,7 +190,8 @@ class VerdictCache:
     def lookup(self, key: Dict[str, Any], name: str) -> Optional[Any]:
         """Serve a verdict from the memory or store tier, or ``None``.
 
-        A store hit promotes the verdict into the memory tier.
+        A store hit promotes the verdict into the memory tier.  The store is
+        only read (``try_load``): a miss here never inspects.
         """
         if not self.enabled:
             return None
@@ -200,8 +201,10 @@ class VerdictCache:
             if verdict is not None:
                 self.memory_hits += 1
                 return self.served(verdict, name, "memory")
-        verdict = self._load_store(key)
-        if verdict is None:
+        if not self.store.enabled:
+            return None
+        verdict = self.store.try_load(VERDICT_KIND, key, self._load_verdict)
+        if verdict is MISS:
             return None
         with self._lock:
             self.store_hits += 1
@@ -243,9 +246,9 @@ class VerdictCache:
     def follow(self, key: Dict[str, Any]) -> Optional[Future]:
         """The in-flight leader's shared future for ``key``, if any.
 
-        Lets a caller that cannot yet commit to leading (e.g. the gateway's
-        non-blocking stream top-up, which must not claim leadership before it
-        holds a budget slot) join an existing flight without one.
+        Lets a caller that must not claim leadership yet (the gateway, before
+        it holds a budget slot) join an existing flight without waiting for
+        a slot.
         """
         digest = key_hash(key)
         with self._lock:
@@ -277,73 +280,33 @@ class VerdictCache:
     ) -> Any:
         """Run one inspection with store write-back and cross-process dedup.
 
-        Executed where the inspection executes (a worker thread or process):
-        re-checks the store, then serialises racing processes through the
-        key's advisory lock — the loser finds the winner's verdict on disk
-        and loads it instead of inspecting.  Without a persistent store this
-        degrades to a plain compute (in-process dedup still applies upstream).
+        Executed where the inspection executes (a worker thread or process),
+        as one :meth:`~repro.runtime.store.ArtifactStore.fetch`: of racing
+        processes one inspects under the key's lock, and the others find its
+        verdict on disk and serve it as a store hit.  Without a persistent
+        store this degrades to a plain compute (in-process dedup still
+        applies upstream).
         """
         if not self.enabled or not self.store.enabled:
             return compute()
-        verdict = self._load_store(key)
-        if verdict is not None:
-            with self._lock:
-                self.store_hits += 1
-            return self.served(verdict, name, "store")
-        with AdvisoryLock(self.store.lock_path(VERDICT_KIND, key)):
-            verdict = self._load_store(key)
-            if verdict is not None:
-                with self._lock:
-                    self.store_hits += 1
-                return self.served(verdict, name, "store")
-            verdict = compute()
-            self._write_store(key, verdict)
-        return verdict
+        computed = []
 
-    def store_verdict(self, key: Dict[str, Any], verdict: Any) -> None:
-        """Write-back one cold verdict to both tiers.
-
-        For callers that inspect outside the cache and fill it afterwards
-        (the gateway fills through :meth:`complete`/
-        :meth:`compute_through_store` instead).  A store entry that landed
-        concurrently is kept (first-wins).
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            if getattr(verdict, "cache", "cold") == "cold":
-                self.inspections += 1
-            self._entries[key_hash(key)] = self._canonical_verdict(verdict)
-        if self.store.enabled and not self.store.contains(VERDICT_KIND, key):
-            self._write_store(key, verdict)
-
-    # -- the one-call synchronous form ----------------------------------------
-    def get_or_compute(self, key: Dict[str, Any], name: str, compute: Callable[[], Any]) -> Any:
-        """Serve from any tier, deduplicate in flight, or inspect and fill.
-
-        The synchronous composition of the whole protocol, for callers that
-        block on one verdict; the gateway drives :meth:`lookup`/:meth:`begin`
-        asynchronously.
-        """
-        if not self.enabled:
+        def inspect() -> Any:
+            computed.append(True)
             return compute()
-        verdict = self.lookup(key, name)
-        if verdict is not None:
+
+        verdict = self.store.fetch(
+            VERDICT_KIND,
+            key,
+            inspect,
+            save=lambda artifact, verdict: self._save_verdict(artifact, key, verdict),
+            load=self._load_verdict,
+        )
+        if computed:
             return verdict
-        claim = self.begin(key, name)
-        if claim[0] == "verdict":
-            return claim[1]
-        if claim[0] == "follower":
-            shared = claim[1]
-            return self.served(shared.result(), name, "dedup")
-        token = claim[1]
-        try:
-            verdict = self.compute_through_store(key, name, compute)
-        except BaseException as exc:
-            self.fail(token, exc)
-            raise
-        self.complete(token, verdict)
-        return self.served(verdict, name, verdict.cache)
+        with self._lock:
+            self.store_hits += 1
+        return self.served(verdict, name, "store")
 
     # -- store tier ------------------------------------------------------------
     @staticmethod
@@ -368,21 +331,15 @@ class VerdictCache:
             "query_calls": int(verdict.query_calls),
         }
 
-    def _load_store(self, key: Dict[str, Any]) -> Optional[Any]:
-        """The persisted verdict for ``key``, or ``None`` when absent.
+    @staticmethod
+    def _load_verdict(artifact: Artifact) -> Any:
+        """One stored verdict.
 
         JSON round-trips floats exactly (repr-based), so a loaded verdict is
         bit-identical to the one written.  Only ``payload`` is read; older
         documents also carry a ``created`` stamp, which is ignored.
         """
-        if not self.store.enabled:
-            return None
-        document = self.store.try_load(
-            VERDICT_KIND, key, lambda artifact: artifact.load_json("verdict")
-        )
-        if document is MISS:
-            return None
-        payload = document["payload"]
+        payload = artifact.load_json("verdict")["payload"]
         from repro.runtime.workers import AuditVerdict
 
         return AuditVerdict(
@@ -394,19 +351,15 @@ class VerdictCache:
             query_calls=payload["query_calls"],
         )
 
-    def _write_store(self, key: Dict[str, Any], verdict: Any) -> None:
-        if not self.store.enabled:
-            return
-        canonical = self._canonical_verdict(verdict)
-        with self.store.open_write(VERDICT_KIND, key) as artifact:
-            artifact.save_json(
-                "verdict",
-                {
-                    "format_version": VERDICT_CACHE_FORMAT_VERSION,
-                    "key": dict(key),
-                    "payload": self._verdict_payload(canonical),
-                },
-            )
+    def _save_verdict(self, artifact: Artifact, key: Dict[str, Any], verdict: Any) -> None:
+        artifact.save_json(
+            "verdict",
+            {
+                "format_version": VERDICT_CACHE_FORMAT_VERSION,
+                "key": dict(key),
+                "payload": self._verdict_payload(self._canonical_verdict(verdict)),
+            },
+        )
 
     # -- dashboard -------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

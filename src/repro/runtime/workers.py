@@ -23,7 +23,7 @@ Determinism: a hydrated detector round-trips with bit-identical scores
 (the PR 1 save/load contract), the per-task seed still derives from the
 catalogue key inside ``detector.inspect(seed_key=...)``, and query accounting
 travels inside the pickled verdict — so process-backend verdicts are
-bit-identical to the thread/serial backends.
+bit-identical to thread-backend and inline ones.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class DetectorRef:
     """A store address of one fitted detector, cheap to pickle to workers.
 
     ``runtime`` describes how a worker reaches the shared store (its
-    ``cache_dir``) and hydrates — the gateway hands out a serial, single-worker
+    ``cache_dir``) and hydrates — the gateway hands out a single-worker
     override so hydration inside a pool worker never opens a nested pool.
     """
 
@@ -96,11 +96,11 @@ def resolve_detector(ref: Any) -> Any:
     """The fitted detector a task audits against.
 
     A fitted detector passes through; a :class:`DetectorRef` is hydrated at
-    most once per process.  Warm-loading only: the artifact must already
-    exist in the shared store (the gateway's ``register_tenant``
-    fitted-or-loaded it before any task could reference it), so a miss here
-    is an environment error — e.g. a worker pointed at the wrong store — and
-    never triggers a refit.
+    most once per process.  Load-only (``try_load``, never the store's
+    building ``fetch``): the artifact must already exist in the shared store
+    (the gateway's ``register_tenant`` fitted-or-loaded it before any task
+    could reference it), so a miss here is an environment error — e.g. a
+    worker pointed at the wrong store — and never triggers a refit.
     """
     if not isinstance(ref, DetectorRef):
         return ref
@@ -153,7 +153,7 @@ def _cached_audit_task(cache: Any, cache_key, name: str, task, *args) -> AuditVe
     """Run one audit task through the verdict cache's store tier.
 
     The cache drops its in-memory/in-flight state when pickled, so process
-    backends can ship it; the advisory-lock single flight inside
+    backends can ship it; the store ``fetch`` inside
     :meth:`~repro.runtime.verdict_cache.VerdictCache.compute_through_store`
     is what keeps two racing *processes* down to one inspection.
     """

@@ -113,9 +113,10 @@ def test_malformed_integer_names_the_variable(monkeypatch, name):
 
 
 def test_malformed_enumerations_fail_fast(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "quantum")
-    with pytest.raises(ValueError, match="backend"):
-        RuntimeConfig.from_env()
+    for backend in ("quantum", "serial"):  # inline is REPRO_WORKERS=1, not a backend
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        with pytest.raises(ValueError, match="backend"):
+            RuntimeConfig.from_env()
     monkeypatch.delenv("REPRO_BACKEND")
     monkeypatch.setenv("REPRO_PRECISION", "float16")
     with pytest.raises(ValueError, match="precision"):

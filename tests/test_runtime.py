@@ -3,6 +3,11 @@ persistence, the fit's stage seams and warm-cache training skips."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import zipfile
 
 import numpy as np
@@ -16,7 +21,8 @@ from repro.models.classifier import ImageClassifier
 from repro.models.registry import build_classifier
 from repro.nn.serialization import save_state_dict
 from repro.obs import get_tracer
-from repro.runtime import ArtifactStore, WorkerPool, executor
+from repro.runtime import AdvisoryLock, ArtifactStore, WorkerPool, executor
+from repro.runtime import store as store_module
 from repro.runtime.store import MISS
 
 
@@ -58,7 +64,13 @@ def test_store_failed_write_leaves_no_artifact(tmp_path):
 def test_disabled_store_always_builds(tmp_path):
     store = ArtifactStore(None)
     calls = []
-    value = store.fetch("demo", {"k": 1}, build=lambda: calls.append(1) or 42)
+    value = store.fetch(
+        "demo",
+        {"k": 1},
+        build=lambda: calls.append(1) or 42,
+        save=lambda artifact, value: artifact.save_json("value", value),
+        load=lambda artifact: artifact.load_json("value"),
+    )
     assert value == 42 and calls == [1]
     assert not store.contains("demo", {"k": 1})
 
@@ -82,10 +94,14 @@ def test_store_recovers_from_corrupt_artifact(tmp_path):
     np.testing.assert_array_equal(value["x"], np.zeros(3))
     assert builds == [1]
     # the rebuilt artifact replaced the corrupt one and loads cleanly now
-    np.testing.assert_array_equal(
-        store.fetch("demo", key, build=lambda: None, load=lambda a: a.load_arrays("value"))["x"],
-        np.zeros(3),
+    reloaded = store.fetch(
+        "demo",
+        key,
+        build=lambda: None,
+        save=lambda artifact, value: None,
+        load=lambda artifact: artifact.load_arrays("value"),
     )
+    np.testing.assert_array_equal(reloaded["x"], np.zeros(3))
 
 
 def test_store_caches_none_valued_artifact(tmp_path):
@@ -105,7 +121,8 @@ def test_store_caches_none_valued_artifact(tmp_path):
     assert fetch() is None
     assert fetch() is None
     assert builds == [1], "None-valued artifact must not rebuild on a warm store"
-    assert store.hits == 1 and store.misses == 1
+    # the cold fetch missed twice: before the key's lock and again under it
+    assert store.hits == 1 and store.misses == 2
 
 
 def test_store_fetch_memoises_on_disk(tmp_path):
@@ -125,7 +142,156 @@ def test_store_fetch_memoises_on_disk(tmp_path):
     second = fetch()
     assert len(builds) == 1
     np.testing.assert_array_equal(first["x"], second["x"])
-    assert store.hits == 1 and store.misses == 1
+    # the cold fetch missed twice: before the key's lock and again under it
+    assert store.hits == 1 and store.misses == 2
+
+
+# ---------------------------------------------------------------------------
+# ArtifactStore.fetch: the one load-or-build protocol
+# ---------------------------------------------------------------------------
+
+def _json_fetch(store, key, build, kind="demo"):
+    return store.fetch(
+        kind,
+        key,
+        build,
+        save=lambda artifact, value: artifact.save_json("value", value),
+        load=lambda artifact: artifact.load_json("value"),
+    )
+
+
+def _fetch_in_a_process(root, start, builds_file, values):
+    start.wait(timeout=30.0)
+
+    def build():
+        with open(builds_file, "a") as handle:
+            handle.write("built\n")
+        time.sleep(0.3)  # the other process arrives while this one builds
+        return os.getpid()
+
+    values.put(_json_fetch(ArtifactStore(root), {"k": 1}, build))
+
+
+def test_fetch_builds_once_across_processes(tmp_path):
+    context = multiprocessing.get_context("fork")
+    start = context.Event()
+    values = context.Queue()
+    builds_file = tmp_path / "builds.log"
+    builds_file.touch()
+    workers = [
+        context.Process(
+            target=_fetch_in_a_process, args=(tmp_path / "store", start, builds_file, values)
+        )
+        for _ in range(2)
+    ]
+    for worker in workers:
+        worker.start()
+    start.set()  # release both at once so they race on the key's lock
+    results = [values.get(timeout=60.0) for _ in workers]
+    for worker in workers:
+        worker.join(timeout=60.0)
+        assert worker.exitcode == 0
+    assert builds_file.read_text().count("built") == 1
+    # the builder's pid: the other process loaded the winner's artifact
+    assert results[0] == results[1]
+
+
+def test_failed_build_leaves_no_lock_or_artifact(tmp_path):
+    store = ArtifactStore(tmp_path)
+    key = {"k": 1}
+
+    def explode():
+        raise RuntimeError("build failed")
+
+    with pytest.raises(RuntimeError, match="build failed"):
+        _json_fetch(store, key, explode)
+    assert not store.lock_path("demo", key).exists()
+    assert not store.contains("demo", key)
+    assert _json_fetch(store, key, lambda: 7) == 7  # the next fetch builds
+    assert _json_fetch(store, key, explode) == 7
+
+
+def test_fetch_waiter_never_evicts_a_live_builder(tmp_path, monkeypatch):
+    """A build that outlasts the stale period keeps its lock: the process's
+    refresher re-stamps it, so the waiter waits and loads instead of
+    evicting the holder and building again."""
+    releases = []
+
+    class ShortStaleLock(AdvisoryLock):
+        def __init__(self, path):
+            super().__init__(path, stale_seconds=0.4, poll_seconds=0.01)
+
+        def release(self):
+            holder = self.holder() if self.held else None
+            releases.append(holder is not None and holder["token"] == self._token)
+            super().release()
+
+    monkeypatch.setattr(store_module, "AdvisoryLock", ShortStaleLock)
+    store = ArtifactStore(tmp_path)
+    building = threading.Event()
+    builds = []
+
+    def build():
+        builds.append(1)
+        building.set()
+        time.sleep(1.2)  # three stale periods
+        return len(builds)
+
+    values = []
+    holder = threading.Thread(target=lambda: values.append(_json_fetch(store, {"k": 1}, build)))
+    holder.start()
+    assert building.wait(timeout=30.0)
+    values.append(_json_fetch(store, {"k": 1}, build))  # polls while the holder builds
+    holder.join(timeout=30.0)
+    assert builds == [1]
+    assert values == [1, 1]
+    # both releases (the builder's, then the waiter's after its store hit)
+    # found their own token in the lock file
+    assert releases == [True, True]
+
+
+def test_cold_fetches_share_one_refresher_thread(tmp_path):
+    store = ArtifactStore(tmp_path)
+    before = threading.active_count()
+    for index in range(50):
+        assert _json_fetch(store, {"k": index}, lambda: index) == index
+    assert threading.active_count() <= before + 1
+
+
+def test_release_racing_the_refresher_never_raises(tmp_path, monkeypatch):
+    """More threads than cores take and release locks with a 1 ms refresh
+    period under a short switch interval: the refresher never raises, every
+    lock file is released, and the refresher still stamps afterwards."""
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_value))
+
+    def churn(index):
+        for _ in range(50):
+            with AdvisoryLock(tmp_path / f"racy-{index}.lock", stale_seconds=0.004):
+                time.sleep(0.0005)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=churn, args=(index,))
+            for index in range(len(os.sched_getaffinity(0)) + 2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert not list(tmp_path.iterdir())
+    with AdvisoryLock(tmp_path / "alive.lock", stale_seconds=0.2) as lock:
+        os.utime(lock.path, (0, 0))
+        deadline = time.monotonic() + 10.0
+        while lock.path.stat().st_mtime == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert lock.path.stat().st_mtime > 0
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +312,17 @@ def test_executor_orders_match_serial():
 def test_executor_rejects_bad_config():
     with pytest.raises(ValueError):
         WorkerPool(0)
-    with pytest.raises(ValueError):
-        WorkerPool(2, "fiber")
-    with pytest.raises(ValueError):
-        RuntimeConfig(workers=2, backend="fiber")
+    for backend in ("fiber", "serial"):  # one worker is the inline pool
+        with pytest.raises(ValueError):
+            WorkerPool(2, backend)
+        with pytest.raises(ValueError):
+            RuntimeConfig(workers=2, backend=backend)
 
 
 def test_pool_from_config_never_opens_more_workers_than_tasks():
     runtime = RuntimeConfig(workers=4, backend="process")
     inline = WorkerPool.from_config(None, tasks=8)
-    assert (inline.workers, inline.backend) == (1, "serial")
+    assert inline.workers == 1 and not inline.parallel
     assert WorkerPool.from_config(runtime, tasks=8).workers == 4
     assert WorkerPool.from_config(runtime, tasks=2).workers == 2
     assert WorkerPool.from_config(runtime, tasks=0).workers == 1
@@ -165,7 +332,7 @@ def test_pool_from_config_never_opens_more_workers_than_tasks():
 def test_runtime_config_properties():
     assert not RuntimeConfig().parallel
     assert RuntimeConfig(workers=4).parallel
-    assert not RuntimeConfig(workers=4, backend="serial").parallel
+    assert not RuntimeConfig(workers=1, backend="process").parallel
 
 
 # ---------------------------------------------------------------------------

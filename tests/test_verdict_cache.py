@@ -53,6 +53,18 @@ def disk_cache(tmp_path, **kwargs):
     return VerdictCache(store=ArtifactStore(tmp_path / "store"), **kwargs)
 
 
+def write_through(cache, key, verdict):
+    """Inspect-and-store one verdict the way a pool task does."""
+    return cache.compute_through_store(key, verdict.name, lambda: verdict)
+
+
+def publish(cache, key, verdict):
+    """Publish one verdict to the memory tier the way a leader does."""
+    claim, token = cache.begin(key, verdict.name)
+    assert claim == "leader"
+    cache.complete(token, verdict)
+
+
 # ---------------------------------------------------------------------------
 # fingerprints and keys
 # ---------------------------------------------------------------------------
@@ -90,7 +102,7 @@ def test_cache_key_carries_all_three_coordinates():
 def test_store_round_trip_is_bit_identical(tmp_path):
     key = verdict_cache_key("fp", "digest", "float64")
     minted = make_verdict(score=1.0 / 3.0, accuracy=2.0 / 7.0)
-    disk_cache(tmp_path).store_verdict(key, minted)
+    write_through(disk_cache(tmp_path), key, minted)
 
     fresh = disk_cache(tmp_path)  # cold memory tier: must come off disk
     served = fresh.lookup(key, "resubmitted")
@@ -112,7 +124,7 @@ def test_nan_accuracy_survives_the_round_trip(tmp_path):
     and in the verdicts that MNTD tenants once wrote to stores; JSON must not
     choke on it."""
     key = verdict_cache_key("fp", "digest", "float64")
-    disk_cache(tmp_path).store_verdict(key, make_verdict(accuracy=float("nan")))
+    write_through(disk_cache(tmp_path), key, make_verdict(accuracy=float("nan")))
     served = disk_cache(tmp_path).lookup(key, "resub")
     assert math.isnan(served.prompted_accuracy)
 
@@ -122,9 +134,9 @@ def test_served_verdicts_do_not_inherit_provenance(tmp_path):
     must serve as ``memory``, not replay the first serving's ``store``."""
     cache = memory_cache()
     key = verdict_cache_key("fp", "digest", "float64")
-    cache.store_verdict(key, make_verdict())
+    publish(cache, key, make_verdict())
     first = cache.lookup(key, "one")
-    cache.store_verdict(verdict_cache_key("fp2", "digest", "float64"), first)
+    publish(cache, verdict_cache_key("fp2", "digest", "float64"), first)
     again = cache.lookup(verdict_cache_key("fp2", "digest", "float64"), "two")
     assert first.cache == "memory" and again.cache == "memory"
 
@@ -163,7 +175,7 @@ def test_verdicts_written_with_a_created_stamp_still_load(tmp_path):
 def test_detector_refit_bumps_the_digest_and_misses(tmp_path):
     cache = disk_cache(tmp_path)
     before = verdict_cache_key("fp", "digest-before-refit", "float64")
-    cache.store_verdict(before, make_verdict())
+    write_through(cache, before, make_verdict())
     after = verdict_cache_key("fp", "digest-after-refit", "float64")
     assert cache.lookup(after, "resub") is None  # same model, refit detector
     assert cache.lookup(before, "resub") is not None
@@ -171,17 +183,17 @@ def test_detector_refit_bumps_the_digest_and_misses(tmp_path):
 
 def test_precision_tiers_never_share_entries(tmp_path):
     cache = disk_cache(tmp_path)
-    cache.store_verdict(verdict_cache_key("fp", "d", "float64"), make_verdict())
+    write_through(cache, verdict_cache_key("fp", "d", "float64"), make_verdict())
     assert cache.lookup(verdict_cache_key("fp", "d", "float32"), "resub") is None
 
 
 def test_disabled_cache_is_inert(tmp_path):
     cache = disk_cache(tmp_path, enabled=False)
     key = verdict_cache_key("fp", "d", "float64")
-    cache.store_verdict(key, make_verdict())
-    assert cache.lookup(key, "resub") is None
-    computed = cache.get_or_compute(key, "resub", lambda: make_verdict(score=0.125))
+    computed = cache.compute_through_store(key, "resub", lambda: make_verdict(score=0.125))
     assert computed.backdoor_score == 0.125
+    assert cache.lookup(key, "resub") is None
+    assert not cache.store.contains(VERDICT_KIND, key)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +216,16 @@ def test_two_threads_same_fingerprint_one_inspection(tmp_path):
     results = {}
 
     def submit(name):
-        results[name] = cache.get_or_compute(key, name, compute)
+        # the gateway's composition: claim, then lead through the store tier
+        # or follow the leader's shared future
+        claim, value = cache.begin(key, name)
+        if claim == "follower":
+            results[name] = cache.served(value.result(timeout=30.0), name, "dedup")
+            return
+        assert claim == "leader"
+        verdict = cache.compute_through_store(key, name, compute)
+        cache.complete(value, verdict)
+        results[name] = verdict
 
     leader = threading.Thread(target=submit, args=("leader",))
     leader.start()
@@ -234,11 +255,23 @@ def test_leader_failure_propagates_and_releases_the_claim(tmp_path):
     def explode():
         raise RuntimeError("vendor endpoint down")
 
+    claim, token = cache.begin(key, "boom")
+    assert claim == "leader"
+    claim, shared = cache.begin(key, "follower")
+    assert claim == "follower"
+    with pytest.raises(RuntimeError, match="endpoint down") as raised:
+        cache.compute_through_store(key, "boom", explode)
+    cache.fail(token, raised.value)
     with pytest.raises(RuntimeError, match="endpoint down"):
-        cache.get_or_compute(key, "boom", explode)
-    # the claim was released: a retry leads a fresh flight and succeeds
-    verdict = cache.get_or_compute(key, "retry", make_verdict)
+        shared.result(timeout=1.0)  # the follower sees the leader's failure
+    # the claim was released and the store kept nothing: a retry leads a
+    # fresh flight and inspects
+    claim, token = cache.begin(key, "retry")
+    assert claim == "leader"
+    verdict = cache.compute_through_store(key, "retry", make_verdict)
+    cache.complete(token, verdict)
     assert verdict.backdoor_score == make_verdict().backdoor_score
+    assert verdict.cache == "cold"
     assert cache.stats()["inspections"] == 1
 
 

@@ -25,7 +25,8 @@ from repro.runtime.registry import DetectorSpec
 from repro.runtime.workers import _HYDRATED, DetectorRef, resolve_detector
 from repro.utils.rng import derive_seed
 
-BACKENDS = ("serial", "thread", "process")
+#: (workers, backend): one worker runs every task inline
+POOLS = ((1, "thread"), (2, "thread"), (2, "process"))
 
 
 def _seeded_draw(item):
@@ -37,14 +38,14 @@ def _seeded_draw(item):
 
 
 # ---------------------------------------------------------------------------
-# map / submit parity: serial / thread / process
+# map / submit parity: inline / thread / process
 # ---------------------------------------------------------------------------
 
 def test_executor_map_results_identical_across_backends():
     items = [(index, 123) for index in range(6)]
     expected = [_seeded_draw(item) for item in items]
-    for backend in BACKENDS:
-        with WorkerPool(workers=2, backend=backend) as pool:
+    for workers, backend in POOLS:
+        with WorkerPool(workers=workers, backend=backend) as pool:
             assert pool.map(_seeded_draw, items) == expected, backend
             # map reuses the one executor and counts no submitted tasks
             assert pool.map(_seeded_draw, items) == expected, backend
@@ -54,8 +55,8 @@ def test_executor_map_results_identical_across_backends():
 def test_pool_submit_results_identical_across_backends():
     items = [(index, 321) for index in range(6)]
     expected = [_seeded_draw(item) for item in items]
-    for backend in BACKENDS:
-        with WorkerPool(workers=2, backend=backend) as pool:
+    for workers, backend in POOLS:
+        with WorkerPool(workers=workers, backend=backend) as pool:
             futures = [pool.submit(_seeded_draw, item) for item in items]
             assert [future.result() for future in futures] == expected, backend
 
@@ -216,14 +217,14 @@ def test_overlapping_thread_pools_closed_out_of_order(blas_threads):
     assert _blas_threads() == blas_threads
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pools_run_without_openblas(monkeypatch, backend):
+@pytest.mark.parametrize("workers, backend", POOLS, ids=("inline", "thread", "process"))
+def test_pools_run_without_openblas(monkeypatch, workers, backend):
     monkeypatch.setattr(executor, "_find_openblas", lambda: None)
     monkeypatch.setattr(executor, "_BLAS_THREADS", executor._BlasThreads())
     before = _OPENBLAS[0]() if _OPENBLAS is not None else None
     items = [(index, 5) for index in range(4)]
     expected = [_seeded_draw(item) for item in items]
-    with WorkerPool(workers=2, backend=backend) as pool:
+    with WorkerPool(workers=workers, backend=backend) as pool:
         assert pool.map(_seeded_draw, items) == expected
         assert [pool.submit(_seeded_draw, item).result() for item in items] == expected
         if before is not None:  # a pool that found no OpenBLAS touches nothing
@@ -280,7 +281,7 @@ def hydration_setup(micro_profile, tiny_dataset, tiny_test_dataset, tmp_path_fac
         key_hash=entry.key_hash,
         key=entry.key,
         spec=spec,
-        runtime=runtime.with_overrides(workers=1, backend="serial"),
+        runtime=runtime.with_overrides(workers=1),
     )
     return entry, ref
 
@@ -308,7 +309,7 @@ def test_resolve_detector_never_refits_on_miss(hydration_setup, tmp_path):
         key_hash=ref.key_hash,
         key=ref.key,
         spec=ref.spec,
-        runtime=RuntimeConfig(cache_dir=str(tmp_path), workers=1, backend="serial"),
+        runtime=RuntimeConfig(cache_dir=str(tmp_path), workers=1),
     )
     with pytest.raises(RuntimeError, match="refitting in a pool worker is forbidden"):
         resolve_detector(pointed_at_empty_store)
